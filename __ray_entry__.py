@@ -48,19 +48,16 @@ def _q_extract_spans(sf_dir: str):
 
 
 def _q_extract_units(sf_dir: str):
-    import ray.data as rd
-
     from ocr_ray.corpus import ensure_transcripts
+    from ocr_ray.stages.carry_scan import cluster_cpus
     from ocr_ray.stages.extractor import UnitScorer
     from ocr_ray.stages.normalize import normalize_batch
-
-    import ray
 
     turns = _read_parquet(
         ensure_transcripts(sf_dir), columns=["conv_id", "turn_idx", "text"]
     )
     # actor pool sized to the cluster (was capped at 4 — starved a 32-CPU box)
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
+    n_cpus = cluster_cpus()
     return turns.map_batches(normalize_batch, batch_format="pyarrow").map_batches(
         UnitScorer, batch_format="pyarrow", concurrency=(1, max(2, n_cpus))
     )
@@ -72,9 +69,9 @@ def _q_extract_conv_stats(sf_dir: str):
     from ray.data.aggregate import Count, Max
 
     from ocr_ray.corpus import ensure_transcripts
-    from ocr_ray.pipelines.extract import extract_spans, read_turns, reconcile
+    from ocr_ray.pipelines.extract import extract_spans, read_turns, reconcile_sorted
 
-    spans = reconcile(extract_spans(read_turns(ensure_transcripts(sf_dir))))
+    spans = reconcile_sorted(extract_spans(read_turns(ensure_transcripts(sf_dir))))
     return (
         spans.groupby("conv_id")
         .aggregate(Count(alias_name="n_spans"), Max("span_seq", alias_name="max_seq"))
@@ -128,11 +125,10 @@ def _q_collapse(sf_dir: str):
 
 
 def _q_langid(sf_dir: str):
-    import ray
-
     from ocr_ray.functions.textstats import LangId
+    from ocr_ray.stages.carry_scan import cluster_cpus
 
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
+    n_cpus = cluster_cpus()
     return _docs(sf_dir).map_batches(
         LangId, batch_format="pyarrow", concurrency=(1, max(2, n_cpus))
     )

@@ -1680,8 +1680,9 @@ def snm_pairs(
     Scale shape (the 100 TB design):
     - the sort exchange carries ONLY (snm_key[16], doc_id) — the payload
       never shuffles; this is the one wide step.
-    - pair generation is split exactly like reconcile_sorted's seam walk:
-      in-block pairs come from a vectorized per-block pass (ranks inside
+    - pair generation is split like the shared carry-scan
+      (ocr_ray.stages.carry_scan) splits its seam walk: in-block pairs
+      come from a vectorized per-block pass (ranks inside
       a sorted block are contiguous, so distance-d pairs are plain array
       shifts), and the O(blocks*window) head/tail boundary rows are the
       ONLY rows the driver sees — it prefix-walks block counts to global
@@ -1738,10 +1739,9 @@ def snm_pairs(
         return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
     # ---- distributed plan ----
-    nblocks = (
-        int(ray.cluster_resources().get("CPU", 8))
-        if ray.is_initialized() else 8
-    )
+    from ..stages.carry_scan import cluster_cpus
+
+    nblocks = cluster_cpus()
     sorted_ds = (
         docs.map_batches(_snm_keys_batch, batch_format="pyarrow")
         .repartition(nblocks)

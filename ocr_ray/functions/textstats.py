@@ -1102,13 +1102,15 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
 
     Scale shape: the LM scoring is bigram_nll's partitioned-join plan;
     lang attaches via ONE bucket hash join on doc_id (big-big safe).
-    The NTILE needs each doc's dense rank WITHIN its language — computed
-    the reconcile_sorted way: one (lang, nll_bits, doc_id) range sort
-    (rows are (id, lang, float) triples — the payload never shuffles),
-    a per-block O(blocks + langs) run summary, a driver prefix walk over
-    block boundaries (state O(langs)), then a vectorized per-block rank
-    + NTILE assignment. No task ever holds a whole language's rows —
-    a hot language just spans more sorted blocks."""
+    The NTILE needs each doc's dense rank WITHIN its language AND each
+    language's total, so this keeps its own walk in the shape of the
+    shared carry-scan (ocr_ray.stages.carry_scan), which carries no
+    per-group totals: one (lang, nll_bits, doc_id) range sort (rows are
+    (id, lang, float) triples — the payload never shuffles), a per-block
+    O(blocks + langs) run summary, a driver prefix walk over block
+    boundaries (state O(langs)), then a vectorized per-block rank +
+    NTILE assignment. No task ever holds a whole language's rows — a hot
+    language just spans more sorted blocks."""
     import pandas as pd
 
     import ray
@@ -1150,10 +1152,9 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
 
     joined = bucket_hash_join(nll, langs, on="doc_id", arrow_kernel=True)
 
-    nblocks = (
-        int(ray.cluster_resources().get("CPU", 8))
-        if ray.is_initialized() else 8
-    )
+    from ..stages.carry_scan import cluster_cpus
+
+    nblocks = cluster_cpus()
     sorted_ds = (
         joined.repartition(nblocks)
         .sort(["lang", "nll_bits", "doc_id"])

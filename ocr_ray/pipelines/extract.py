@@ -3,21 +3,20 @@
 Engine shape (SURVEY.md §3.1 "Engine shape"):
 
     read_parquet(turns, pruned columns)
-      -> map_batches(SpanExtractor, actor pool)      # fused score/propose/decode
-      -> reconcile: groupby(conv_id) + stable (turn_idx, span_idx) in-group
-         order -> per-conversation global span ordinal                (O2 analog)
+      -> map_batches(extract_batch_counted, task pool)  # fused score/propose/decode
+      -> reconcile_sorted: range sort (conv_id, turn_idx, span_idx) +
+         shared carry-scan -> per-conversation global span ordinal (O2 analog)
       -> write_parquet(partitioned, resumable)
 
 The extractor stage is the only payload-heavy stage; reconciliation runs
-over the (much smaller) span rows. The reconciliation shuffle is the one
-semantically required wide operation (SURVEY.md §7.3) and ships a salted
-two-phase variant for skewed mega-conversations.
+over the (much smaller) span rows. Its sort is the one semantically
+required wide operation (SURVEY.md §7.3); a skewed mega-conversation just
+spans more sorted blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -25,8 +24,8 @@ import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
 
-from .. import config as C
-from ..stages.extractor import SpanExtractor
+from ..stages.carry_scan import cluster_cpus, group_ordinal_scan
+from ..stages.extractor import extract_batch_counted
 
 __all__ = [
     "read_turns",
@@ -34,17 +33,11 @@ __all__ = [
     "extract_with_metrics",
     "extract_metrics_totals",
     "split_counted_spans",
-    "reconcile",
     "reconcile_sorted",
     "run_extraction",
 ]
 
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
-
-# Salt width for the two-phase reconciliation: one salt bucket per
-# SALT_TURNS consecutive turn indices, so a mega-conversation splits into
-# many groups while bucket order still follows turn order.
-SALT_TURNS = 64
 
 
 def read_turns_any(path: str, format: str = "parquet") -> rd.Dataset:
@@ -122,8 +115,7 @@ def read_turns(
     extract only assistant turns without scanning user/tool payloads).
     """
     if num_blocks is None and ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        num_blocks = 4 * ncpu
+        num_blocks = 4 * cluster_cpus()
     kwargs = {"override_num_blocks": num_blocks} if num_blocks else {}
     if roles is not None:
         import pyarrow.compute as pc
@@ -139,29 +131,19 @@ def read_turns(
 def _extract_batch(batch: pa.Table) -> pa.Table:
     """Stateless-task form of the fused extractor: the only per-worker
     state (compiled regexes, rule tables) is module-level and loads at
-    import, so elastic tasks beat an actor pool here — no pool ramp-up,
-    scheduling to every free CPU. SpanExtractor (the actor form) remains
-    for stages that hold real per-actor state."""
-    return SpanExtractor.__call__(_EXTRACT_SINGLETON, batch)
-
-
-_EXTRACT_SINGLETON = SpanExtractor()
+    import, so elastic tasks need no actor pool — no pool ramp-up,
+    scheduling to every free CPU."""
+    return extract_batch_counted(batch, {})
 
 
 def extract_spans(
     turns: rd.Dataset,
     *,
     batch_size: int = 1024,
-    concurrency: int | tuple[int, int] | None = None,
-    use_actors: bool = False,
     stats=None,
 ) -> rd.Dataset:
-    """Turns -> flat span rows via the fused extractor.
-
-    Default: stateless task pool (fully elastic). ``use_actors=True``
-    switches to the actor-pool form (``concurrency=None`` sizes it to
-    (1, cluster CPUs)) — the right shape once the stage holds real
-    loaded-once state (models, large rule tables).
+    """Turns -> flat span rows via the fused extractor, as a stateless
+    task pool (fully elastic).
 
     ``stats=True``: each batch then appends ONE counter-partial row
     (turns_in, empty_payloads, error_rows, drop_*, spans_out as a JSON
@@ -174,8 +156,6 @@ def extract_spans(
     does)."""
     if stats:
         import json as _json
-
-        from ..stages.extractor import extract_batch_counted
 
         def counted(batch: pa.Table) -> pa.Table:
             counters: dict[str, int] = {
@@ -204,19 +184,8 @@ def extract_spans(
         return turns.map_batches(
             counted, batch_format="pyarrow", batch_size=batch_size
         )
-    if not use_actors:
-        return turns.map_batches(
-            _extract_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-    if concurrency is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = (1, max(2, ncpu))
     return turns.map_batches(
-        SpanExtractor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
+        _extract_batch, batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -293,226 +262,32 @@ def extract_metrics_totals(
     )
 
 
-def _assign_local(group: pd.DataFrame) -> pa.Table:
-    """Stable in-group ordering + local ordinal (one salt bucket).
-
-    Returns Arrow (metadata-stripped): this output feeds the native hash
-    join, where a pandas-origin block schema breaks Ray's schema dedup."""
-    from ..stages.partial_agg import from_pandas
-
-    group = group.sort_values(["turn_idx", "span_idx"], kind="mergesort")
-    group["local_seq"] = np.arange(len(group), dtype=np.int64)
-    return from_pandas(group)
-
-
-def reconcile(spans: rd.Dataset, *, salted: bool = True) -> rd.Dataset:
-    """Span reconciliation (the O2 stable-ordering contract inter-turn):
-    assign each span its global per-conversation ordinal ``span_seq`` under
-    stable (turn_idx, span_idx) order.
-
-    salted=True runs the skew-safe two-phase form (SURVEY.md §7.4):
-      phase 1: groupby (conv_id, salt=turn_idx // SALT_TURNS); local stable
-               sort + local ordinal per bucket;
-      phase 2: per-(conv_id, salt) counts -> per-conv prefix offsets
-               computed DISTRIBUTED (groupby(conv_id) over the tiny counts
-               table) -> Dataset-side hash join back onto the span rows ->
-               span_seq = offset + local_seq. No driver-side structure
-               proportional to conversation count anywhere.
-    A conversation 1000x the median therefore never forms one giant group.
-
-    salted=False is the direct groupby(conv_id) form (fine when no key is
-    skewed); both produce identical output.
-    """
-    if not salted:
-        def assign(group: pd.DataFrame) -> pd.DataFrame:
-            group = group.sort_values(["turn_idx", "span_idx"], kind="mergesort")
-            group["span_seq"] = np.arange(len(group), dtype=np.int64)
-            return group
-
-        return spans.groupby("conv_id").map_groups(assign, batch_format="pandas")
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        salt = pc.divide(pc.cast(batch["turn_idx"], pa.int64()), SALT_TURNS)
-        return batch.append_column("salt", pc.cast(salt, pa.int64()))
-
-    # Materialize once: both phases consume this dataset, and this is also
-    # the natural mid-pipeline checkpoint (span rows are ~2 orders of
-    # magnitude smaller than the payload-bearing input).
-    salted_ds = spans.map_batches(add_salt, batch_format="pyarrow").materialize()
-    local = salted_ds.groupby(["conv_id", "salt"]).map_groups(
-        _assign_local, batch_format="pandas"
-    )
-
-    if salted_ds.count() == 0:  # empty input: nothing to reconcile
-        def drop_salt(df: pd.DataFrame) -> pd.DataFrame:
-            df["span_seq"] = np.zeros(len(df), dtype=np.int64)
-            return df.drop(columns=["salt"], errors="ignore")
-
-        return salted_ds.map_batches(drop_salt, batch_format="pandas")
-
-    # phase 2, fully distributed: per-(conv, salt) counts (rows ~ convs x
-    # buckets, each conv's bucket list small) -> per-conv prefix offsets via
-    # groupby(conv_id) -> hash join back onto the span rows. The driver
-    # never materializes anything proportional to conversation count.
-    counts_ds = salted_ds.groupby(["conv_id", "salt"]).count()
-
-    def prefix(g: pd.DataFrame) -> pa.Table:
-        from ..stages.partial_agg import from_pandas
-
-        g = g.sort_values("salt", kind="mergesort")
-        cnt = g["count()"].to_numpy()
-        g["offset"] = np.cumsum(cnt) - cnt
-        return from_pandas(g[["conv_id", "salt", "offset"]])
-
-    offsets_ds = counts_ds.groupby("conv_id").map_groups(
-        prefix, batch_format="pandas"
-    )
-
-    nparts = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    joined = local.join(
-        offsets_ds,
-        join_type="inner",
-        num_partitions=nparts,
-        on=("conv_id", "salt"),
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["span_seq"] = df["offset"].to_numpy(dtype=np.int64) + df[
-            "local_seq"
-        ].to_numpy(dtype=np.int64)
-        return df.drop(columns=["salt", "local_seq", "offset"])
-
-    return joined.map_batches(finish, batch_format="pandas")
-
-
 def reconcile_sorted(spans: rd.Dataset, *, nblocks: int | None = None) -> rd.Dataset:
-    """Scale-path span reconciliation: identical output to ``reconcile``
-    but built on ONE range-partitioning sort instead of a per-group pandas
-    fan-out (23k tiny groups cost ~1 ms each in map_groups; this path is
-    O(blocks) driver work + two vectorized passes).
+    """Span reconciliation (the O2 stable-ordering contract inter-turn):
+    each span gets ``span_seq``, its 0-based ordinal within its
+    conversation under stable (turn_idx, span_idx) order.
 
-        sort (conv_id, turn_idx, span_idx)          # the one wide shuffle
-        pass 1: per sorted block -> ONE boundary-summary row (min key,
-                first/last conv + their in-block counts, #convs); blocks
-                are disjoint key ranges, so the min key identifies and
-                orders blocks without preserve_order
-        driver: walk blocks in key order carrying (conv, running count)
-                across boundaries -> {min_key: first-conv offset}. The
-                global sort makes every conversation CONTIGUOUS across
-                blocks, so only a block's FIRST conv can continue from an
-                earlier block — every other conv in the block starts at 0.
-                Driver state is therefore O(blocks), independent of
-                conversation count (the 10^9-conversation shape is safe).
-        pass 2: span_seq = vectorized block-local cumcount per conv run,
-                + the broadcast offset on the first run only
-
-    Skew: a mega-conversation straddles range-partitioned blocks naturally;
-    its offsets accumulate across however many blocks it spans.
+    ONE range sort on (conv_id, turn_idx, span_idx), then the shared
+    carry-scan (:func:`ocr_ray.stages.carry_scan.group_ordinal_scan`):
+    span_seq is a vectorized in-block cumcount per conversation run, plus
+    the count carried across block boundaries on a block's first run.
+    Driver state is O(blocks), independent of conversation count, and a
+    mega-conversation simply straddles more range-partitioned blocks.
 
     Span rows are ~2 orders of magnitude smaller than the payload input,
-    so they are coalesced (repartition, no shuffle) to ~1 block per CPU
-    before the sort — an all-to-all over hundreds of tiny blocks pays
-    O(blocks^2) exchange overhead for no parallelism gain.
+    so they are coalesced to ~1 block per CPU before the sort: an
+    all-to-all over hundreds of tiny blocks pays O(blocks^2) exchange
+    overhead for no parallelism gain. The scan materializes the span
+    rows first, so the sort runs block-parallel instead of fusing into
+    the lazy extract pipeline.
     """
-    if nblocks is None:
-        nblocks = (
-            int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        )
-    # Materialize the (small) span rows first: letting the sort's map phase
-    # fuse into the lazy extract pipeline serializes it into one task in
-    # this Ray version; materialized input sorts block-parallel. This is
-    # also the natural mid-pipeline checkpoint (payload already dropped).
-    sorted_spans = (
-        spans.materialize()
-        .repartition(nblocks)
-        .sort(["conv_id", "turn_idx", "span_idx"])
-        .materialize()
+
+    def assign(batch: pa.Table, seq: np.ndarray) -> pa.Table:
+        return batch.append_column("span_seq", pa.array(seq, pa.int64()))
+
+    return group_ordinal_scan(
+        spans, ["conv_id", "turn_idx", "span_idx"], assign, nblocks=nblocks
     )
-
-    _SUM_SCHEMA = pa.schema(
-        [("k_conv", pa.string()), ("k_turn", pa.int64()), ("k_span", pa.int64()),
-         ("first_conv", pa.string()), ("n_first", pa.int64()),
-         ("last_conv", pa.string()), ("n_last", pa.int64()),
-         ("n_convs", pa.int64())]
-    )
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        """One boundary row per block: O(1) output regardless of how many
-        conversations the block holds."""
-        if batch.num_rows == 0:
-            return _SUM_SCHEMA.empty_table()
-        conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
-        n = len(conv)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(conv[1:], conv[:-1], out=change[1:])
-        starts = np.nonzero(change)[0]
-        n_first = int(starts[1] if len(starts) > 1 else n)
-        n_last = int(n - starts[-1])
-        return pa.Table.from_pydict(
-            {
-                "k_conv": [str(conv[0])],
-                "k_turn": [int(batch.column("turn_idx")[0].as_py())],
-                "k_span": [int(batch.column("span_idx")[0].as_py())],
-                "first_conv": [str(conv[0])],
-                "n_first": [n_first],
-                "last_conv": [str(conv[-1])],
-                "n_last": [n_last],
-                "n_convs": [len(starts)],
-            },
-            schema=_SUM_SCHEMA,
-        )
-
-    summary = sorted_spans.map_batches(
-        summarize, batch_size=None, batch_format="pyarrow"
-    ).to_pandas()  # EXACTLY one row per non-empty block — O(blocks)
-
-    # walk blocks in min-key order, carrying the (conv, cumulative count)
-    # that straddles each boundary; record only the first conv's offset
-    summary = summary.sort_values(
-        ["k_conv", "k_turn", "k_span"], kind="mergesort"
-    )
-    offsets: dict[tuple, int] = {}
-    carry_conv: str | None = None
-    carry_cnt = 0
-    for row in summary.itertuples(index=False):
-        mk = (row.k_conv, int(row.k_turn), int(row.k_span))
-        offsets[mk] = carry_cnt if row.first_conv == carry_conv else 0
-        if int(row.n_convs) == 1:
-            carry_cnt = (
-                carry_cnt + int(row.n_first)
-                if row.first_conv == carry_conv
-                else int(row.n_first)
-            )
-            carry_conv = row.first_conv
-        else:
-            carry_conv, carry_cnt = row.last_conv, int(row.n_last)
-    oref = ray.put(offsets)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("span_seq", pa.array([], pa.int64()))
-        table = ray.get(oref)
-        conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
-        n = len(conv)
-        mk = (str(conv[0]), int(batch.column("turn_idx")[0].as_py()),
-              int(batch.column("span_idx")[0].as_py()))
-        off = table[mk]
-        # vectorized per-run cumcount: seq[i] = i - start_of_run(i), plus
-        # the carried offset on the block's first run only
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(conv[1:], conv[:-1], out=change[1:])
-        starts = np.nonzero(change)[0]
-        run_id = np.cumsum(change) - 1
-        seq = np.arange(n, dtype=np.int64) - starts[run_id]
-        if off:
-            seq[: (starts[1] if len(starts) > 1 else n)] += off
-        return batch.append_column("span_seq", pa.array(seq))
-
-    return sorted_spans.map_batches(assign, batch_size=None, batch_format="pyarrow")
 
 
 def run_extraction(
@@ -520,25 +295,18 @@ def run_extraction(
     out_dir: str | None = None,
     *,
     batch_size: int = 1024,
-    mode: str = "sorted",
     partition_output: bool = False,
 ) -> rd.Dataset:
     """End-to-end: read -> extract -> reconcile (-> write if out_dir).
-
-    ``mode``: "sorted" (default, the fast sort-based reconciliation),
-    "salted" (two-phase salted groupby), or "grouped" (direct groupby) —
-    all three produce identical output (tested).
 
     Output is a parquet directory of part files (resumable layout: rerun
     with a fresh out_dir or let ocr_ray.state.lineage skip completed
     partitions). ``partition_output=True`` writes hive-partitioned by a
     conv_id hash prefix (the brief's one-directory-per-key-range layout:
     a failed downstream consumer can skip finished key ranges)."""
-    spans = extract_spans(read_turns(turns_path), batch_size=batch_size)
-    if mode == "sorted":
-        spans = reconcile_sorted(spans)
-    else:
-        spans = reconcile(spans, salted=(mode == "salted"))
+    spans = reconcile_sorted(
+        extract_spans(read_turns(turns_path), batch_size=batch_size)
+    )
     if out_dir is not None:
         if partition_output:
             def add_part(t: pa.Table) -> pa.Table:

@@ -672,16 +672,19 @@ def _lp_round_local(lo: np.ndarray, hi: np.ndarray,
     # nodes is sorted (np.unique) — positional lookup via searchsorted
     lab = labels[np.searchsorted(nodes, src)]
     d = np.searchsorted(nodes, dst).astype(np.int64)
-    # (dst, lab) counts via packed unique
-    n = np.int64(len(nodes))
-    base = np.int64(labels.max()) + 1
-    u, c = np.unique(d * base + lab, return_counts=True)
+    # (dst, lab) counts via packed unique over POSITIONS: labels are node
+    # ids, so packing their index into the sorted nodes keeps the key
+    # below len(nodes)**2 whatever the id range, and index order is label
+    # order (the smallest-label tie-break holds)
+    li = np.searchsorted(nodes, lab).astype(np.int64)
+    base = np.int64(len(nodes))
+    u, c = np.unique(d * base + li, return_counts=True)
     du, lu = u // base, u % base
     # argmax per dst with (count desc, label asc): lexsort then first
     order = np.lexsort((lu, -c, du))
     first = np.r_[True, du[order][1:] != du[order][:-1]]
     out = labels.copy()
-    out[du[order][first]] = lu[order][first]
+    out[du[order][first]] = nodes[lu[order][first]]
     return out
 
 

@@ -36,6 +36,7 @@ import ray.data as rd
 from ..pqread import read_parquet as _read_parquet
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..stages.carry_scan import group_ordinal_scan, run_starts, sorted_carry_scan
 from ..stages.partial_agg import from_pandas as _from_pandas
 from ..stages.partial_agg import hash_bucket_sum
 
@@ -379,32 +380,16 @@ def _rank_pick_by_key(
 ) -> dict[tuple[str, int], float]:
     """Distributed selection: the value at each requested global 0-based
     rank within every key's value-sorted order, without ever holding one
-    key's rows in a single task (the ``reconcile_sorted`` pattern applied
-    to quantiles — VERDICT r4 item 2).
+    key's rows in a single task (VERDICT r4 item 2).
 
-        sort (key, val, uid)            # the one wide shuffle; uid is a
-                                        # row-unique tiebreak so block
-                                        # boundary triples are unique and
-                                        # order the blocks deterministically
-        pass 1: per sorted block -> one summary row per distinct key in
-                the block (block boundary triple, key, in-block count);
-                O(blocks + keys) rows total since a key spans contiguous
-                blocks in the global sort
-        driver: walk blocks in boundary order carrying a per-key running
-                count -> each (block, key)'s global start rank. Driver
-                state is O(keys) + O(summary rows), independent of row
-                count.
-        pass 2: per block, for each key present, emit the requested ranks
-                that land inside this block's [start, start+count) slice —
-                a vectorized index pick, output <= |requested ranks| rows.
-
-    A hot key (one event_type = half the corpus) just spans more sorted
-    blocks; no task's input grows with the key's row count.
+    ONE range sort on (key, val, uid) — uid is a row-unique tiebreak —
+    then the shared carry-scan
+    (:func:`ocr_ray.stages.carry_scan.group_ordinal_scan`) hands every
+    block each row's rank within its key; each block emits the rows whose
+    rank was requested, <= |requested ranks| rows in total. A hot key
+    (one event_type = half the corpus) just spans more sorted blocks; no
+    task's input grows with the key's row count.
     """
-    if nblocks is None:
-        nblocks = (
-            int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        )
     ranks_arr = {
         str(k): np.asarray(sorted(set(int(r) for r in rs)), dtype=np.int64)
         for k, rs in ranks_by_key.items()
@@ -412,90 +397,29 @@ def _rank_pick_by_key(
     }
     if not ranks_arr:
         return {}
-    sorted_ds = ds.repartition(nblocks).sort([key, val, uid]).materialize()
-
-    _SUM = pa.schema(
-        [("bk_key", pa.string()), ("bk_val", pa.float64()), ("bk_uid", pa.int64()),
-         ("key", pa.string()), ("cnt", pa.int64())]
-    )
-
-    def _key_runs(t: pa.Table):
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        n = len(k)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(k[1:], k[:-1], out=change[1:])
-        starts = np.nonzero(change)[0]
-        cnts = np.diff(np.append(starts, n))
-        boundary = (
-            str(k[0]),
-            float(t.column(val)[0].as_py()),
-            int(t.column(uid)[0].as_py()),
-        )
-        return k, starts, cnts, boundary
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SUM.empty_table()
-        k, starts, cnts, bk = _key_runs(t)
-        m = len(starts)
-        return pa.Table.from_pydict(
-            {
-                "bk_key": [bk[0]] * m,
-                "bk_val": [bk[1]] * m,
-                "bk_uid": [bk[2]] * m,
-                "key": [str(x) for x in k[starts]],
-                "cnt": cnts.astype(np.int64),
-            },
-            schema=_SUM,
-        )
-
-    summary = sorted_ds.map_batches(
-        summarize, batch_size=None, batch_format="pyarrow"
-    ).to_pandas()  # O(blocks + keys) rows
-    # stable sort: within one block the rows were emitted in key order
-    summary = summary.sort_values(["bk_key", "bk_val", "bk_uid"], kind="mergesort")
-    running: dict[str, int] = {}
-    offsets: dict[tuple, int] = {}
-    for row in summary.itertuples(index=False):
-        offsets[(row.bk_key, row.bk_val, row.bk_uid, row.key)] = running.get(
-            row.key, 0
-        )
-        running[row.key] = running.get(row.key, 0) + int(row.cnt)
-    oref = ray.put(offsets)
     rref = ray.put(ranks_arr)
 
     _OUT = pa.schema(
         [("key", pa.string()), ("rank", pa.int64()), ("value", pa.float64())]
     )
 
-    def probe(t: pa.Table) -> pa.Table:
+    def probe(t: pa.Table, seq: np.ndarray) -> pa.Table:
         if t.num_rows == 0:
             return _OUT.empty_table()
-        offs, want = ray.get(oref), ray.get(rref)
-        k, starts, cnts, bk = _key_runs(t)
+        want = ray.get(rref)
+        k = t.column(key).to_numpy(zero_copy_only=False)
+        hit = np.zeros(len(k), dtype=bool)
+        bounds = np.append(run_starts(k), len(k))
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            hit[s:e] = np.isin(seq[s:e], want.get(str(k[s]), []))
         v = t.column(val).to_numpy(zero_copy_only=False)
-        out_k: list[str] = []
-        out_r: list[int] = []
-        out_v: list[float] = []
-        for s, c, kk in zip(starts, cnts, k[starts]):
-            kk = str(kk)
-            rs = want.get(kk)
-            if rs is None:
-                continue
-            base = offs[(bk[0], bk[1], bk[2], kk)]
-            local = rs - base
-            hit = rs[(local >= 0) & (local < c)]
-            for r in hit:
-                out_k.append(kk)
-                out_r.append(int(r))
-                out_v.append(float(v[s + (r - base)]))
-        return pa.Table.from_pydict(
-            {"key": out_k, "rank": out_r, "value": out_v}, schema=_OUT
+        return pa.Table.from_arrays(
+            [pa.array(k[hit].astype(str)), pa.array(seq[hit]), pa.array(v[hit])],
+            schema=_OUT,
         )
 
-    picked = sorted_ds.map_batches(
-        probe, batch_size=None, batch_format="pyarrow"
+    picked = group_ordinal_scan(
+        ds, [key, val, uid], probe, nblocks=nblocks
     ).to_pandas()  # <= sum(len(ranks)) rows
     return {
         (row.key, int(row.rank)): float(row.value)
@@ -743,55 +667,17 @@ def events_value_decile(sf_dir: str) -> pd.DataFrame:
     ``(row_number() OVER (ORDER BY value, event_id) - 1) * 10 // n``
     shape, i.e. a GLOBAL rank over the whole corpus.
 
-    Scale shape (the reconcile_sorted pattern, extract.py): ONE
-    range-partitioning sort, then a per-block boundary summary (min key +
-    row count — O(1) rows per block), a driver prefix-sum over those
-    O(blocks) summaries, and a second vectorized pass that adds the
-    broadcast block offset to the in-block index. Driver state is
-    O(blocks), independent of row count."""
-    ds = _read(sf_dir, "events", ["event_id", "value"])
-    nblocks = (
-        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    )
-    sorted_ds = (
-        ds.materialize().repartition(nblocks).sort(["value", "event_id"]).materialize()
-    )
-
-    _SUM = pa.schema([("k_value", pa.float64()), ("k_event", pa.int64()),
-                      ("n", pa.int64())])
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SUM.empty_table()
-        return pa.Table.from_pydict(
-            {"k_value": [t.column("value")[0].as_py()],
-             "k_event": [t.column("event_id")[0].as_py()],
-             "n": [t.num_rows]},
-            schema=_SUM,
-        )
-
-    summ = (
-        sorted_ds.map_batches(summarize, batch_size=None, batch_format="pyarrow")
-        .to_pandas()  # one row per non-empty block — O(blocks)
-        .sort_values(["k_value", "k_event"], kind="mergesort")
-    )
-    counts = summ["n"].to_numpy(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    total = int(counts.sum())
-    omap = ray.put(
-        {(v, e): int(o)
-         for v, e, o in zip(summ["k_value"], summ["k_event"], offsets)}
-    )
-
+    Scale shape: ONE range-partitioning sort, then the shared carry-scan
+    (:func:`ocr_ray.stages.carry_scan.sorted_carry_scan`, carry = rows
+    before the block): each block's rank is the carried offset plus the
+    in-block index. Driver state is O(blocks), independent of row
+    count."""
     _OUT = pa.schema([("event_id", pa.int64()), ("value", pa.float64()),
                       ("decile", pa.int64())])
 
-    def rank_block(t: pa.Table) -> pa.Table:
+    def rank_block(t: pa.Table, off, total) -> pa.Table:
         if t.num_rows == 0:
             return _OUT.empty_table()
-        off = ray.get(omap)[
-            (t.column("value")[0].as_py(), t.column("event_id")[0].as_py())
-        ]
         r = off + np.arange(t.num_rows, dtype=np.int64)
         return pa.Table.from_arrays(
             [t.column("event_id").cast(pa.int64()).combine_chunks(),
@@ -801,7 +687,14 @@ def events_value_decile(sf_dir: str) -> pd.DataFrame:
         )
 
     return (
-        sorted_ds.map_batches(rank_block, batch_size=None, batch_format="pyarrow")
+        sorted_carry_scan(
+            _read(sf_dir, "events", ["event_id", "value"]),
+            ["value", "event_id"],
+            block_stat=lambda t: t.num_rows,
+            init=0,
+            fold=lambda n, m: n + m,
+            apply_fn=rank_block,
+        )
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -1978,15 +1871,13 @@ def revenue_pareto(sf_dir: str) -> pd.DataFrame:
     crossing.
 
     Scale shape: per-customer revenue reduces via partial sums; ONE
-    range-partitioning sort (rev desc, custkey) over that grouped table;
-    then the reconcile_sorted pattern — per-block boundary summaries
-    (first key, row count, block revenue sum; O(1) rows per block), a
-    driver prefix-sum over O(blocks) summaries, and a second pass where
-    ONLY the block containing the 80% crossing emits the answer row.
-    The crossing threshold is the exact integer ceil(4*total/5), so
-    block boundaries cannot mis-place it."""
-    from ray.data.aggregate import Sum
-
+    range-partitioning sort (rev desc, custkey) over that grouped table
+    through the shared carry-scan
+    (:func:`ocr_ray.stages.carry_scan.sorted_carry_scan`, carry = rows
+    and revenue before the block), where ONLY the block containing the
+    80% crossing emits the answer row. The crossing threshold is the
+    exact integer ceil(4*total/5), so block boundaries cannot mis-place
+    it."""
     from ..stages.partial_agg import partial_sum_count
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -2002,67 +1893,34 @@ def revenue_pareto(sf_dir: str) -> pd.DataFrame:
     ).select_columns(["o_custkey", "r"]).materialize()
 
     n_cust = rev.count()
-    nblocks = (
-        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    )
-    sorted_ds = (
-        rev.repartition(nblocks)
-        .sort(["r", "o_custkey"], descending=[True, False])
-        .materialize()
-    )
+    _OUT = pa.schema([("n_top", pa.int64()), ("rev_cum", pa.int64()),
+                      ("total", pa.int64())])
 
-    _SUM = pa.schema([("k_r", pa.int64()), ("k_c", pa.int64()),
-                      ("cnt", pa.int64()), ("rsum", pa.int64())])
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SUM.empty_table()
-        return pa.Table.from_pydict(
-            {"k_r": [t.column("r")[0].as_py()],
-             "k_c": [t.column("o_custkey")[0].as_py()],
-             "cnt": [t.num_rows],
-             "rsum": [pc.sum(t.column("r")).as_py()]},
-            schema=_SUM,
-        )
-
-    summ = (
-        sorted_ds.map_batches(summarize, batch_size=None, batch_format="pyarrow")
-        .to_pandas()
-    )
-    summ = summ.sort_values(
-        ["k_r", "k_c"], ascending=[False, True], kind="mergesort"
-    )
-    cnt_off = np.concatenate([[0], np.cumsum(summ["cnt"].to_numpy())[:-1]])
-    rev_off = np.concatenate([[0], np.cumsum(summ["rsum"].to_numpy())[:-1]])
-    total = int(summ["rsum"].sum())
-    thresh = (4 * total + 4) // 5  # ceil(0.8 * total), exact integer
-    omap = ray.put(
-        {(int(r), int(c)): (int(co), int(ro))
-         for r, c, co, ro in zip(summ["k_r"], summ["k_c"], cnt_off, rev_off)}
-    )
-
-    _OUT = pa.schema([("n_top", pa.int64()), ("rev_cum", pa.int64())])
-
-    def crossing(t: pa.Table) -> pa.Table:
+    def crossing(t: pa.Table, carry, final) -> pa.Table:
         if t.num_rows == 0:
             return _OUT.empty_table()
-        co, ro = ray.get(omap)[
-            (t.column("r")[0].as_py(), t.column("o_custkey")[0].as_py())
-        ]
+        (co, ro), total = carry, final[1]
+        thresh = (4 * total + 4) // 5  # ceil(0.8 * total), exact integer
         cum = ro + np.cumsum(t.column("r").to_numpy())
         if ro >= thresh or cum[-1] < thresh:
             return _OUT.empty_table()  # crossing is not in this block
         i = int(np.searchsorted(cum, thresh, side="left"))
         return pa.Table.from_pydict(
-            {"n_top": [co + i + 1], "rev_cum": [int(cum[i])]}, schema=_OUT
+            {"n_top": [co + i + 1], "rev_cum": [int(cum[i])], "total": [total]},
+            schema=_OUT,
         )
 
-    hit = (
-        sorted_ds.map_batches(crossing, batch_size=None, batch_format="pyarrow")
-        .to_pandas()
-    )
+    hit = sorted_carry_scan(
+        rev,
+        ["r", "o_custkey"],
+        descending=[True, False],
+        block_stat=lambda t: (t.num_rows, pc.sum(t.column("r")).as_py()),
+        init=(0, 0),
+        fold=lambda s, b: (s[0] + b[0], s[1] + b[1]),
+        apply_fn=crossing,
+    ).to_pandas()
     assert len(hit) == 1, hit
-    n_top, rev_cum = int(hit["n_top"].iloc[0]), int(hit["rev_cum"].iloc[0])
+    n_top, rev_cum, total = (int(hit[c].iloc[0]) for c in _OUT.names)
     return pd.DataFrame(
         {"n_top_customers": [np.int64(n_top)],
          "n_customers": [np.int64(n_cust)],

@@ -39,10 +39,10 @@ Scale shape: the payload-heavy label/loss kernel is one streaming
 actor-pool ``map_batches`` pass; everything after it operates on tiny
 per-image partial rows (one row per payload). The O5 shuffle is a hash
 ordering (no random state), the global batch rank is ONE sort of the
-small rows + an O(blocks) driver offset walk (the reconcile_sorted
-pattern, extract.py:308), and the running best-loss checkpoint scan
-carries one (min) scalar across sorted blocks — O(blocks) driver state at
-any corpus size.
+small rows + an O(blocks) driver offset walk, and the running best-loss
+checkpoint scan carries one (min) scalar across sorted blocks — both on
+the shared carry-scan (ocr_ray.stages.carry_scan), O(blocks) driver state
+at any corpus size.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 from .. import config as C
 from ..extract import score_units
 from ..segment import Unit, segment
+from ..stages.carry_scan import sorted_carry_scan
 from ..textnorm import encode_token, normalize_text
 
 __all__ = [
@@ -366,69 +366,6 @@ def image_loss_partials(turns: rd.Dataset) -> rd.Dataset:
                              concurrency=(1, 8))
 
 
-# --- shared sorted-block driver-carry scan --------------------------------------
-
-
-def _sorted_carry_scan(
-    ds: rd.Dataset,
-    keys: list[str],
-    block_stat,
-    init,
-    fold,
-    apply_fn,
-    nblocks: int | None = None,
-) -> rd.Dataset:
-    """The reconcile-sorted pattern (extract.py:308) as one shared kernel:
-    materialize -> repartition(nblocks) -> sort(keys); each sorted block
-    emits ONE summary row (its first-row key tuple + ``block_stat(t)``);
-    the driver folds stats sequentially in key order, recording
-    ``carry_in[block] = state BEFORE the block``; a second per-block pass
-    applies ``apply_fn(block, carry_in)`` (``carry=None`` for empty
-    blocks). O(blocks) driver state at any corpus size. Block-first key
-    tuples are unique because callers' key sets are unique per row and the
-    range partitioner keeps equal keys together."""
-    if nblocks is None:
-        nblocks = (
-            int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        )
-    sorted_ds = ds.materialize().repartition(nblocks).sort(keys).materialize()
-
-    def summarize(t: pa.Table) -> pd.DataFrame:
-        if t.num_rows == 0:
-            return pd.DataFrame(
-                {**{k: pd.Series([], dtype="int64") for k in keys},
-                 "stat": pd.Series([], dtype=object)}
-            )
-        return pd.DataFrame(
-            {**{k: [int(t.column(k)[0].as_py())] for k in keys},
-             "stat": pd.Series([block_stat(t)], dtype=object)}
-        )
-
-    summ = (
-        sorted_ds.map_batches(summarize, batch_size=None, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(keys, kind="mergesort")
-    )
-    state = init
-    carry_in: dict[tuple, object] = {}
-    stats = summ["stat"].to_numpy()
-    keycols = [summ[k].to_numpy(np.int64) for k in keys]
-    for i in range(len(summ)):
-        kt = tuple(int(c[i]) for c in keycols)
-        carry_in[kt] = state
-        state = fold(state, stats[i])
-    cref = ray.put(carry_in)
-
-    def apply_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return apply_fn(t, None)
-        kt = tuple(int(t.column(k)[0].as_py()) for k in keys)
-        return apply_fn(t, ray.get(cref)[kt])
-
-    return sorted_ds.map_batches(apply_block, batch_size=None,
-                                 batch_format="pyarrow")
-
-
 # --- O5 shuffle + global batch rank -------------------------------------------
 
 
@@ -438,8 +375,8 @@ def _with_rank(ds: rd.Dataset, nblocks: int | None = None) -> rd.Dataset:
     (SQL: row_number() OVER (ORDER BY mix64(doc_id), doc_id)).
 
     ONE sort of the small per-image rows, then the shared
-    :func:`_sorted_carry_scan` boundary-offset walk (carry = running row
-    count before the block)."""
+    :func:`~ocr_ray.stages.carry_scan.sorted_carry_scan` boundary-offset
+    walk (carry = running row count before the block)."""
 
     def add_h(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -449,13 +386,13 @@ def _with_rank(ds: rd.Dataset, nblocks: int | None = None) -> rd.Dataset:
         h_ord = (h ^ np.uint64(1 << 63)).view(np.int64)
         return t.append_column("h_ord", pa.array(h_ord, pa.int64()))
 
-    def apply_rank(t: pa.Table, off) -> pa.Table:
+    def apply_rank(t: pa.Table, off, _total) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column("rank", pa.array([], pa.int64()))
         r = int(off) + np.arange(t.num_rows, dtype=np.int64)
         return t.append_column("rank", pa.array(r, pa.int64()))
 
-    return _sorted_carry_scan(
+    return sorted_carry_scan(
         ds.map_batches(add_h, batch_format="pyarrow"),
         ["h_ord", "doc_id"],
         block_stat=lambda t: t.num_rows,
@@ -609,8 +546,9 @@ def train_checkpoints(curve: rd.Dataset,
     """Every-LOSS_STEP evaluation rows plus the best-loss checkpoint flag
     (train.py:127-135): is_best = now_total < running min of all previous
     now_totals (init BEST_LOSS=1000). The running min crosses sorted
-    blocks via the shared :func:`_sorted_carry_scan` (carry = min of all
-    previous blocks' now_totals); min is order-insensitive so the
+    blocks via the shared
+    :func:`~ocr_ray.stages.carry_scan.sorted_carry_scan` (carry = min of
+    all previous blocks' now_totals); min is order-insensitive so the
     distributed scan is exact."""
     from ..stages.partial_agg import pin_schema
 
@@ -627,7 +565,7 @@ def train_checkpoints(curve: rd.Dataset,
         .map_batches(pin_schema(_EVAL_DTYPES), batch_format="pandas")
     )
 
-    def apply_flag(t: pa.Table, best_in) -> pa.Table:
+    def apply_flag(t: pa.Table, best_in, _best) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column("is_best", pa.array([], pa.int64()))
         v = t.column("now_total").to_numpy(zero_copy_only=False)
@@ -636,7 +574,7 @@ def train_checkpoints(curve: rd.Dataset,
             "is_best", pa.array((v < prefix).astype(np.int64), pa.int64())
         )
 
-    return _sorted_carry_scan(
+    return sorted_carry_scan(
         evals,
         ["eval_idx"],
         block_stat=lambda t: float(

@@ -3,12 +3,13 @@ operators (A1/A2/A4/A5/M4-M10/D1-D2 analogs, SURVEY.md §2).
 
 Two granularities:
 
-- ``SpanExtractor`` — the fused actor-pool stage used by the production
-  pipeline: normalized turn batch in -> flat span rows out. One pass per
-  turn, no intermediate serialization. State (rule tables, compiled
-  regexes) is built once per actor in ``__init__`` and the per-batch work
-  calls the shared semantic core (ocr_ray.extract), which guarantees
-  parity with the oracle.
+- ``extract_batch_counted`` — the fused per-batch core of the production
+  pipeline (``ocr_ray.pipelines.extract.extract_spans`` maps it as a
+  stateless task): normalized turn batch in -> flat span rows out, one
+  pass per turn, no intermediate serialization. The per-turn work calls
+  the shared semantic core (ocr_ray.extract), which guarantees parity
+  with the oracle; rule tables and regexes load once per worker at
+  import.
 - ``UnitScorer`` — the standalone scorer stage (A1 analog) that emits the
   dense unit/score table, used by operator-level conformance tests and
   the fixture queries (FIXTURES.md §3).
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .. import config as C
 from ..extract import extract_turn, propose_spans, score_units
 from ..segment import segment
 
-__all__ = ["SpanExtractor", "UnitScorer"]
+__all__ = ["extract_batch_counted", "UnitScorer"]
 
 SPAN_SCHEMA = pa.schema(
     [
@@ -52,10 +52,10 @@ UNIT_SCHEMA = pa.schema(
 
 
 def extract_batch_counted(batch: pa.Table, counters: dict[str, int]) -> pa.Table:
-    """The fused per-batch extraction core shared by every execution form
-    (actor pool, stateless task pool, stats-reporting pass): normalized
-    turn batch in -> flat span rows out, with every deterministic drop and
-    dead-lettered row recorded in ``counters``."""
+    """The fused per-batch extraction core shared by the plain and the
+    stats-reporting task pass: normalized turn batch in -> flat span rows
+    out, with every deterministic drop and dead-lettered row recorded in
+    ``counters``."""
     conv_ids = batch.column("conv_id").to_pylist()
     turn_idxs = batch.column("turn_idx").to_pylist()
     texts = batch.column("text").to_pylist()
@@ -101,26 +101,6 @@ def extract_batch_counted(batch: pa.Table, counters: dict[str, int]) -> pa.Table
         ],
         schema=SPAN_SCHEMA,
     )
-
-
-class SpanExtractor:
-    """Fused per-turn extraction chain as an actor-pool ``map_batches``
-    stage. ``__init__`` runs once per actor (reference analog: model-weight
-    load, test_img.py:46-53); ``__call__`` runs per batch.
-
-    Emits the golden-span schema (FIXTURES.md §2) plus a per-actor drop
-    counter snapshot retrievable through the ``counters`` column of the
-    lineage sidecar (see ocr_ray.state.lineage).
-    """
-
-    def __init__(self) -> None:
-        # Touch the rule tables so any config error surfaces at actor start,
-        # not first batch; regexes in ocr_ray.segment are compiled at import.
-        self._tag_weights = dict(C.TAG_WEIGHTS)
-        self.counters: dict[str, int] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch_counted(batch, self.counters)
 
 
 class UnitScorer:

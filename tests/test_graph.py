@@ -259,3 +259,28 @@ def test_label_propagation_matches_brute_and_distributed(ray_session):
     pd.testing.assert_frame_equal(dist.reset_index(drop=True), exp)
     # the two cliques must collapse to few labels
     assert loc[loc.node < 12]["community"].nunique() <= 3
+
+
+def test_label_propagation_large_node_ids(ray_session):
+    """Node ids near 2**61: the packed (node, label) key must not
+    overflow int64, so communities match the same graph at small ids."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_ray.pipelines.graph import label_propagation
+
+    # path 0-1-2-3 plus triangle 4-5-6
+    lo = np.array([0, 1, 2, 4, 4, 5], np.int64)
+    hi = np.array([1, 2, 3, 5, 6, 6], np.int64)
+    shift = np.int64(2**61)
+
+    def run(offset):
+        ds = rd.from_arrow(pa.table({"lo": lo + offset, "hi": hi + offset}))
+        return label_propagation(ds, rounds=3)
+
+    base = run(np.int64(0))
+    assert base["community"].tolist() == [1, 0, 1, 0, 4, 4, 4]
+    big = run(shift)
+    assert big["node"].tolist() == (base["node"] + shift).tolist()
+    assert big["community"].tolist() == (base["community"] + shift).tolist()

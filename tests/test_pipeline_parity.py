@@ -30,17 +30,16 @@ def _golden(turns_path: str) -> pd.DataFrame:
     )
 
 
-@pytest.mark.parametrize("salted", [True, False])
-def test_pipeline_matches_oracle(ray_session, turns_path, salted):
+def test_pipeline_matches_oracle(ray_session, turns_path):
     import ray.data as rd
 
-    from ocr_ray.pipelines.extract import extract_spans, reconcile
+    from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
 
     spans = extract_spans(
         rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
     )
     df = (
-        reconcile(spans, salted=salted)
+        reconcile_sorted(spans)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "span_idx"])
         .reset_index(drop=True)
@@ -66,34 +65,24 @@ def test_pipeline_matches_oracle(ray_session, turns_path, salted):
 
 
 def test_reconcile_sorted_equals_grouped(ray_session, turns_path):
-    """The sort-based scale path produces identical span_seq to the
-    groupby reference implementation (incl. the mega-conversation that
-    straddles many range-partitioned blocks)."""
+    """The sort-based path produces the same span_seq as a pandas
+    groupby cumcount over the same spans (incl. the mega-conversation
+    that straddles many range-partitioned blocks)."""
     import ray.data as rd
 
-    from ocr_ray.pipelines.extract import extract_spans, reconcile, reconcile_sorted
+    from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
 
-    def load():
-        return extract_spans(
-            rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
-        )
-
-    a = (
-        reconcile_sorted(load())
-        .to_pandas()
-        .sort_values(["conv_id", "turn_idx", "span_idx"])
-        .reset_index(drop=True)
-    )
-    b = (
-        reconcile(load(), salted=False)
-        .to_pandas()
-        .sort_values(["conv_id", "turn_idx", "span_idx"])
-        .reset_index(drop=True)
-    )
+    key = ["conv_id", "turn_idx", "span_idx"]
+    spans = extract_spans(
+        rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
+    ).materialize()
+    a = reconcile_sorted(spans).to_pandas().sort_values(key).reset_index(drop=True)
+    b = spans.to_pandas().sort_values(key).reset_index(drop=True)
+    b["span_seq"] = b.groupby("conv_id").cumcount()
     pd.testing.assert_frame_equal(
-        a[["conv_id", "turn_idx", "span_idx", "span_seq"]],
-        b[["conv_id", "turn_idx", "span_idx", "span_seq"]],
+        a[key + ["span_seq"]], b[key + ["span_seq"]], check_dtype=False
     )
+    assert (b.groupby("conv_id").size() > 200).any()  # mega conv present
 
 
 def test_parity_at_sf_scale(ray_session):
@@ -151,7 +140,7 @@ def test_single_conversation_worst_case_skew(ray_session, tmp_path):
 
     import ray.data as rd
 
-    from ocr_ray.pipelines.extract import extract_spans, reconcile, reconcile_sorted
+    from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
 
     rows = []
     for t in range(800):
@@ -176,13 +165,6 @@ def test_single_conversation_worst_case_skew(ray_session, tmp_path):
     )
     assert len(a) == 800
     assert a.span_seq.tolist() == list(range(800))
-    b = (
-        reconcile(extract_spans(ds), salted=True)
-        .to_pandas()
-        .sort_values(["turn_idx", "span_idx"])
-        .reset_index(drop=True)
-    )
-    assert (a.span_seq.to_numpy() == b.span_seq.to_numpy()).all()
 
 
 def test_nested_spans_roundtrip(ray_session, turns_path):
@@ -244,7 +226,7 @@ def test_dead_letter_rows(ray_session, monkeypatch):
         return real(text, counters)
 
     monkeypatch.setattr(ex, "extract_turn", poisoned)
-    inst = ex.SpanExtractor()
+    counters: dict[str, int] = {}
     batch = pa.Table.from_pylist(
         [
             {"conv_id": "c", "turn_idx": 0, "text": "good content words here"},
@@ -252,9 +234,9 @@ def test_dead_letter_rows(ray_session, monkeypatch):
             {"conv_id": "c", "turn_idx": 2, "text": "more good content words"},
         ]
     )
-    out = inst(batch)
+    out = ex.extract_batch_counted(batch, counters)
     assert set(out.column("turn_idx").to_pylist()) == {0, 2}
-    assert inst.counters["error_rows"] == 1
+    assert counters["error_rows"] == 1
 
 
 def test_extract_metrics_counters(ray_session):
@@ -349,21 +331,36 @@ def test_production_metrics_match_audit_pass(ray_session, turns_path):
 
 
 def test_mega_conversation_salting(ray_session, turns_path):
-    """conv-00000000 is a mega-conversation (MEGA_TURNS turns): the salted
-    reconciliation must still produce a dense, correctly ordered ordinal."""
+    """conv-00000000 is a mega-conversation (MEGA_TURNS turns): its spans
+    straddle sorted blocks, yet reconcile_sorted must still produce a
+    dense, correctly ordered ordinal."""
     import ray.data as rd
 
-    from ocr_ray.pipelines.extract import extract_spans, reconcile
+    from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
 
-    df = (
-        reconcile(
-            extract_spans(
-                rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
-            ),
-            salted=True,
-        )
-        .to_pandas()
-    )
+    df = reconcile_sorted(
+        extract_spans(
+            rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
+        ),
+        nblocks=8,
+    ).to_pandas()
     mega = df[df.conv_id == "conv-00000000"].sort_values(["turn_idx", "span_idx"])
     assert len(mega) > 200  # mega conv produced many spans
     assert mega.span_seq.tolist() == list(range(len(mega)))
+
+
+def test_run_extraction_zero_spans(ray_session, tmp_path):
+    """A job where no turn yields a span (empty and too-short payloads)
+    returns an empty span table with span_seq, not an error."""
+    import pyarrow as pa
+
+    from ocr_ray.pipelines.extract import run_extraction
+    from ocr_ray.stages.extractor import SPAN_SCHEMA
+
+    table = pa.table({"conv_id": ["c0"] * 3,
+                      "turn_idx": pa.array([0, 1, 2], pa.int32()),
+                      "text": ["", "xy", ""]})
+    pq.write_table(table, str(tmp_path / "turns.parquet"))
+    out = run_extraction(str(tmp_path))
+    assert out.count() == 0
+    assert out.schema().names == SPAN_SCHEMA.names + ["span_seq"]

@@ -2,20 +2,15 @@
 
 One conversation with >1M spans — the 10^12-turn corpus's worst skew
 shape: a single conv_id that is orders of magnitude larger than the
-median and MUST span many sorted blocks — pushed through BOTH span_seq
-reconciliation paths:
+median and MUST span many sorted blocks — pushed through
+``reconcile_sorted``: ONE range sort + the shared carry-scan's O(blocks)
+driver boundary walk (the mega conv straddles blocks; its running count
+carries across however many blocks it spans).
 
-  - ``reconcile(salted=True)``: two-phase salted groupby (salt =
-    turn_idx // SALT_TURNS caps any one group at SALT_TURNS turns;
-    per-conv prefix offsets joined back distributed), and
-  - ``reconcile_sorted``: ONE range sort + O(blocks) driver boundary
-    walk (the mega conv straddles blocks; offsets accumulate across
-    however many blocks it spans).
-
-Asserts bit-identical span_seq row-for-row between the two paths, that
-the mega conversation's ordinals are dense 0..n-1 under stable
-(turn_idx, span_idx) order, and records wall time per path plus the
-sorted-block occupancy (how many blocks the mega conv actually
+Asserts span_seq equals a pandas ``groupby("conv_id").cumcount()`` truth
+row-for-row, that the mega conversation's ordinals are dense 0..n-1
+under stable (turn_idx, span_idx) order, and records the wall time plus
+the sorted-block occupancy (how many blocks the mega conv actually
 straddles — the thing a naive per-group path would collapse into one
 task).
 
@@ -51,7 +46,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from ocr_ray.pipelines.extract import reconcile, reconcile_sorted
+    from ocr_ray.pipelines.extract import reconcile_sorted
 
     # --- synthesize span rows: one mega conv + many normal convs -------
     rng = np.random.default_rng(23)
@@ -94,11 +89,7 @@ def main() -> None:
         pa.Table.from_pandas(all_rows, preserve_index=False)
     ).repartition(64).materialize()
 
-    # --- run both reconciliation paths --------------------------------
-    t0 = time.time()
-    via_salted = reconcile(spans, salted=True).materialize()
-    t_salted = time.time() - t0
-
+    # --- reconcile ------------------------------------------------------
     t0 = time.time()
     via_sorted = reconcile_sorted(spans, nblocks=32)
     mat_sorted = via_sorted.materialize()
@@ -126,16 +117,17 @@ def main() -> None:
     ).to_pandas()
     mega_blocks = int((blocks["mega_rows"] > 0).sum())
 
-    # --- parity: bit-identical span_seq row-for-row --------------------
+    # --- parity with a pandas cumcount truth, row-for-row --------------
     key = ["conv_id", "turn_idx", "span_idx"]
-    a = via_salted.to_pandas().sort_values(key).reset_index(drop=True)
+    a = all_rows.sort_values(key).reset_index(drop=True)
+    a["span_seq"] = a.groupby("conv_id").cumcount()
     b = mat_sorted.to_pandas().sort_values(key).reset_index(drop=True)
-    assert len(a) == len(b) == n_rows, (len(a), len(b), n_rows)
+    assert len(b) == n_rows, (len(b), n_rows)
     assert (a["span_seq"].to_numpy() == b["span_seq"].to_numpy()).all(), \
-        "span_seq mismatch between salted and sorted paths"
+        "span_seq mismatch against the groupby cumcount truth"
 
     # mega conv ordinals dense 0..n-1 under stable (turn_idx, span_idx)
-    m = a[a["conv_id"] == "megaconv"].sort_values(
+    m = b[b["conv_id"] == "megaconv"].sort_values(
         ["turn_idx", "span_idx"], kind="mergesort"
     )
     assert (m["span_seq"].to_numpy() == np.arange(len(m))).all(), \
@@ -146,7 +138,6 @@ def main() -> None:
         "mega_spans": int(len(m)),
         "mega_share": round(len(m) / n_rows, 3),
         "n_normal_convs": n_normal,
-        "salted_groupby_sec": round(t_salted, 3),
         "range_sort_sec": round(t_sorted, 3),
         "sorted_blocks_total": int(len(blocks)),
         "blocks_straddled_by_mega": mega_blocks,
