@@ -30,7 +30,11 @@ def _golden(turns_path: str) -> pd.DataFrame:
     )
 
 
-def test_pipeline_matches_oracle(ray_session, turns_path):
+@pytest.mark.parametrize("single_block", [True, False])
+def test_pipeline_matches_oracle(ray_session, turns_path, single_block):
+    """``single_block``: the spans are sorted into one block, so no
+    conversation crosses a block boundary; otherwise into many small
+    blocks, so span_seq must carry across boundaries."""
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
@@ -39,7 +43,7 @@ def test_pipeline_matches_oracle(ray_session, turns_path):
         rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
     )
     df = (
-        reconcile_sorted(spans)
+        reconcile_sorted(spans, nblocks=1 if single_block else 16)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "span_idx"])
         .reset_index(drop=True)
