@@ -284,15 +284,9 @@ def bpe_encode_stats(docs, k: int = 6):
         )
 
     stream = docs.map_batches(doc_toks, batch_format="pyarrow")
-    joined = bucket_hash_join(stream, seg, on="tok", arrow_kernel=True)
+    joined = bucket_hash_join(stream, seg, on="tok")
 
     def ones(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "n_sub": pa.array([], pa.int64()),
-                 "one": pa.array([], pa.int64())}
-            )
         return pa.table(
             {"doc_id": t.column("doc_id"),
              "n_sub": t.column("n_sub"),

@@ -554,7 +554,7 @@ def minhash_pairs(
     via partitioned cogroup joins — the driver never materializes pairs,
     ids, or shingles.
     """
-    from ..pipelines.joins import cogroup_bucket_join
+    from ..pipelines.joins import bucket_hash_join
     from ..stages.partial_agg import add_hash_bucket
 
     bands = docs.map_batches(minhash_signatures_batch, batch_format="pyarrow")
@@ -701,8 +701,8 @@ def minhash_pairs(
     # materialize between the chained cogroups: the second join's schema
     # probe would otherwise re-execute the first join's whole shuffle
     # (see bucket_hash_join's CALLER NOTE in pipelines/joins.py)
-    with_a = cogroup_bucket_join(cand, sh_a, "doc_a", n_buckets=nb).materialize()
-    with_ab = cogroup_bucket_join(with_a, sh_b, "doc_b", n_buckets=nb)
+    with_a = bucket_hash_join(cand, sh_a, on="doc_a", n_buckets=nb).materialize()
+    with_ab = bucket_hash_join(with_a, sh_b, on="doc_b", n_buckets=nb)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         jac = np.zeros(len(df), dtype=np.float64)
@@ -966,7 +966,7 @@ def cluster_pairs_dataset(pairs: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
     structure proportional to doc or pair count."""
     from ray.data.aggregate import Min, Sum
 
-    from ..pipelines.joins import cogroup_bucket_join
+    from ..pipelines.joins import bucket_hash_join
 
     def bidir(t: pa.Table) -> pa.Table:
         a = t["doc_a"].combine_chunks()
@@ -1020,13 +1020,16 @@ def cluster_pairs_dataset(pairs: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
 
     converged = False
     for _ in range(max_iters):
-        msgs = cogroup_bucket_join(
-            edges, labels, "src", "doc_id", n_buckets=nb
+        msgs = bucket_hash_join(
+            edges, labels, on="src", right_on="doc_id", n_buckets=nb
         ).map_batches(msg, batch_format="pyarrow")
-        lol = cogroup_bucket_join(
+        # hinted: both sides are lazy renames, which schema probes would run
+        lol = bucket_hash_join(
             labels.map_batches(as_ref, batch_format="pyarrow"),
             labels.map_batches(as_parent, batch_format="pyarrow"),
-            "ref", "parent", n_buckets=nb,
+            on="ref", right_on="parent", n_buckets=nb,
+            left_dtypes={"child": np.int64, "ref": np.int64},
+            right_dtypes={"parent": np.int64, "plabel": np.int64},
         ).map_batches(jump, batch_format="pyarrow")
         labels = (
             msgs.union(lol).union(labels)
@@ -1460,7 +1463,7 @@ def _embedding_near_dup_rows(
     """High-dim path of :func:`embedding_near_dup`: the LSH shuffle carries
     only (vec_id, band_idx, band_key) rows; unit vectors ship once per pair
     side through cogroup joins after distributed candidate-pair dedup."""
-    from ..pipelines.joins import cogroup_bucket_join
+    from ..pipelines.joins import bucket_hash_join
     from ..stages.partial_agg import add_hash_bucket
 
     def bucketize_ids(batch: pa.Table) -> pa.Table:
@@ -1531,8 +1534,8 @@ def _embedding_near_dup_rows(
     u_b = embs.map_batches(unit_blob(["doc_b", "ub"]), batch_format="pyarrow")
     nb = min(256, max(8, n_cand // 20_000))
     # materialized between the chained cogroups (schema-probe re-execution)
-    j = cogroup_bucket_join(cand, u_a, "doc_a", n_buckets=nb).materialize()
-    j = cogroup_bucket_join(j, u_b, "doc_b", n_buckets=nb)
+    j = bucket_hash_join(cand, u_a, on="doc_a", n_buckets=nb).materialize()
+    j = bucket_hash_join(j, u_b, on="doc_b", n_buckets=nb)
 
     def cos_pairs(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -1692,14 +1695,14 @@ def snm_pairs(
       skipped as the per-block pass owns them).
     - verify never broadcasts the corpus: above the pair gate the
       (doc_id, token-hash-set) table ships to its pairs via the same
-      partitioned `cogroup_bucket_join` legs minhash_pairs uses. Every
+      partitioned `bucket_hash_join` legs minhash_pairs uses. Every
       doc is a candidate by construction (each has a window), so there
       is no Bloom semi-filter step — the tok table IS the corpus
       projection.
     """
     import ray
 
-    from ..pipelines.joins import cogroup_bucket_join
+    from ..pipelines.joins import bucket_hash_join
     from ..stages.partial_agg import from_pandas as _fp
 
     w = int(window)
@@ -1857,8 +1860,8 @@ def snm_pairs(
         rename_arrow(["doc_b", "tk_b"]), batch_format="pyarrow")
     nb = min(256, max(8, n_pairs // 20_000))
     # materialized between the chained cogroups (schema-probe re-execution)
-    j = cogroup_bucket_join(pairs, tok_a, "doc_a", n_buckets=nb).materialize()
-    j = cogroup_bucket_join(j, tok_b, "doc_b", n_buckets=nb)
+    j = bucket_hash_join(pairs, tok_a, on="doc_a", n_buckets=nb).materialize()
+    j = bucket_hash_join(j, tok_b, on="doc_b", n_buckets=nb)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:

@@ -332,7 +332,7 @@ def rare_terms(docs, n: int = 3):
     # the real run (see the join's CALLER NOTE)
     dfs = hash_bucket_sum(pairs.select_columns(["tok"]), ["tok"], [],
                           count_alias="df").materialize()
-    joined = bucket_hash_join(pairs, dfs, on="tok", arrow_kernel=True)
+    joined = bucket_hash_join(pairs, dfs, on="tok")
     return grouped_topn(
         joined, "doc_id", ["df", "tok"], [True, True], n,
         payload_cols=["doc_id", "tok", "df"],
@@ -560,11 +560,6 @@ def bigram_nll(docs):
     ).materialize()
 
     def term_of(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.Table.from_pydict(
-                {"big": pa.array([], pa.string()),
-                 "nll": pa.array([], pa.float64())}
-            )
         nb = np.asarray(t.column("nb"), dtype=np.float64)
         nc = np.asarray(t.column("nc"), dtype=np.float64)
         return pa.Table.from_pydict(
@@ -573,22 +568,15 @@ def bigram_nll(docs):
                              - np.log2(nb + 1.0))}
         )
 
-    terms = bucket_hash_join(bc, cc, on="w1", arrow_kernel=True).map_batches(
+    terms = bucket_hash_join(bc, cc, on="w1").map_batches(
         term_of, batch_format="pyarrow"
     ).materialize()
 
     scored = bucket_hash_join(
         bg.select_columns(["doc_id", "big"]), terms, on="big",
-        arrow_kernel=True,
     )
 
     def count_one(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.Table.from_pydict(
-                {"doc_id": pa.array([], pa.int64()),
-                 "nll": pa.array([], pa.float64()),
-                 "one": pa.array([], pa.int64())}
-            )
         return pa.Table.from_pydict(
             {"doc_id": t.column("doc_id"),
              "nll": t.column("nll"),
@@ -1048,11 +1036,11 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
         lambda t: t.filter(pc.greater_equal(t.column("n"), min_count)),
         batch_format="pyarrow",
     )
-    j = bucket_hash_join(filt, nx, on="w1", arrow_kernel=True).materialize()
-    j = bucket_hash_join(j, ny, on="w2", arrow_kernel=True)
+    j = bucket_hash_join(filt, nx, on="w1").materialize()
+    j = bucket_hash_join(j, ny, on="w2")
 
     def score_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "w1" not in df.columns:
+        if not len(df):
             return empty
         pmi = np.round(
             np.log2(df["n"].to_numpy(np.float64)) + np.log2(nn)
@@ -1150,7 +1138,7 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
 
     from ..pipelines.joins import bucket_hash_join
 
-    joined = bucket_hash_join(nll, langs, on="doc_id", arrow_kernel=True)
+    joined = bucket_hash_join(nll, langs, on="doc_id")
 
     from ..stages.carry_scan import cluster_cpus
 
@@ -1342,7 +1330,7 @@ def tfidf_topk(docs, n: int = 3):
     tf = docs.map_batches(tf_of, batch_format="pyarrow").materialize()
     dfs = hash_bucket_sum(tf.select_columns(["tok"]), ["tok"], [],
                           count_alias="df").materialize()
-    joined = bucket_hash_join(tf, dfs, on="tok", arrow_kernel=True)
+    joined = bucket_hash_join(tf, dfs, on="tok")
 
     def score_of(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -1430,10 +1418,10 @@ def source_kl(docs_with_source) -> "pd.DataFrame":
             "kl_bits": pd.Series([], dtype="float64"),
         })
 
-    joined = bucket_hash_join(st, ct, on="tok", arrow_kernel=True)
+    joined = bucket_hash_join(st, ct, on="tok")
 
     def term_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "source" not in df.columns:
+        if not len(df):
             return pd.DataFrame(
                 {"source": pd.Series([], dtype="object"),
                  "kl_part": pd.Series([], dtype="float64"),

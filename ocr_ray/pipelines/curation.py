@@ -38,7 +38,7 @@ def curate_documents(sf_dir: str, threshold: float = 0.5) -> rd.Dataset:
     from ..functions.dedup import add_content_hash, dedup_drop_ids
     from ..functions.sampling import stratified_split
     from ..functions.textstats import quality_batch
-    from .joins import cogroup_bucket_join, semi_anti_join
+    from .joins import bucket_hash_join, semi_anti_join
 
     docs = _read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -69,8 +69,8 @@ def curate_documents(sf_dir: str, threshold: float = 0.5) -> rd.Dataset:
         .select_columns(["doc_id"])
         .materialize()
     )
-    exact_survivors = cogroup_bucket_join(
-        survivors, keepers, "doc_id", n_buckets=32
+    exact_survivors = bucket_hash_join(
+        survivors, keepers, on="doc_id", n_buckets=32
     ).materialize()
 
     # 3. near-dup drop list (MinHash-LSH -> components -> drop non-min of

@@ -98,7 +98,7 @@ def _trade_pairs(sf_dir: str) -> rd.Dataset:
     ).map_batches(
         lambda t: t.rename_columns(["k", "supp"]), batch_format="pyarrow"
     )
-    j = bucket_hash_join(orders, li, on="k", arrow_kernel=True)
+    j = bucket_hash_join(orders, li, on="k")
     pairs = j.map_batches(
         lambda df: df[["cust", "supp"]], batch_format="pandas"
     )
@@ -165,14 +165,11 @@ def pagerank_edges(edge_ds: rd.Dataset, iters: int = PR_ITERS) -> pd.DataFrame:
         lambda t: t.rename_columns(["dst", "dd"]), batch_format="pyarrow"
     )
     # edges2: (src, dst, dd) — dd = degree of dst, constant per dst
-    edges2 = (
-        bucket_hash_join(edges, deg_dst, on="dst", arrow_kernel=True)
-        .map_batches(
-            pin_schema({"src": "int64", "dst": "int64", "dd": "int64"}),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    # hinted: deg_dst is a lazy rename, which a schema probe would run
+    edges2 = bucket_hash_join(
+        edges, deg_dst, on="dst",
+        right_dtypes={"dst": np.int64, "dd": np.int64},
+    ).materialize()
 
     def init(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -204,9 +201,7 @@ def pagerank_edges(edge_ds: rd.Dataset, iters: int = PR_ITERS) -> pd.DataFrame:
         )
 
     for _ in range(iters):
-        contrib = bucket_hash_join(
-            edges2, state, on="src", arrow_kernel=True
-        ).map_batches(
+        contrib = bucket_hash_join(edges2, state, on="src").map_batches(
             partial_contrib, batch_format="pandas"
         )
         state = (
@@ -765,9 +760,7 @@ def label_propagation(
                              "lab": top["lab"].to_numpy(np.int64)})
 
     for _ in range(rounds):
-        nbl = bucket_hash_join(
-            edges_sym, labels, on="src", arrow_kernel=True
-        ).map_batches(
+        nbl = bucket_hash_join(edges_sym, labels, on="src").map_batches(
             lambda t: pa.table({"dst": t.column("dst"),
                                 "lab": t.column("lab")}),
             batch_format="pyarrow",

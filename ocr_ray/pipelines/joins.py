@@ -2,12 +2,16 @@
 gathers; these are the engine's general-purpose joins).
 
 - Broadcast join: dimension side shipped once via ray.put, merged per
-  batch (in relational.py — region_customer_stats, top_customers).
-- Partitioned hash join (here): both sides large -> tag each side, add a
-  deterministic hash bucket on the key, union the two datasets,
-  groupby(bucket), and join the sides pairwise inside each bucket. This is
-  the portable bucket-join pattern; B buckets bound per-task memory, and
-  hot keys can be salted into sub-buckets.
+  batch (in relational.py — region_customer_stats, top_customers), and
+  the below-gate paths of ``semi_anti_join`` / ``attach_key_map``.
+- Partitioned hash join (``bucket_hash_join``, the one seam every
+  large-large, semi/anti and salted join goes through): tag each side
+  with a deterministic hash bucket on the key and a side marker, UNION
+  ALL the two datasets (the Teradata join-over-union shape), group by
+  bucket, and run one Arrow kernel per bucket that hash-joins only
+  (key, row index) tables and gathers payload columns with ``take``.
+  B buckets bound per-task memory; hot keys are salted into sub-buckets
+  (``salted_bucket_join``, the FP-Hadoop hot-key split).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from ..stages.partial_agg import from_pandas as _from_pandas
 
 __all__ = [
     "bucket_hash_join",
-    "cogroup_bucket_join",
     "order_lineitem_revenue",
     "segment_revenue_native",
     "semi_anti_join",
@@ -56,247 +59,51 @@ __all__ = [
 ]
 
 
-def cogroup_bucket_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    left_on: str,
-    right_on: str | None = None,
-    n_buckets: int = 64,
-    how: str = "inner",
-) -> rd.Dataset:
-    """Partitioned hash cogroup-join on (possibly differently named) keys.
+def _side_schema(ds: rd.Dataset, hints: dict | None = None) -> pa.Schema:
+    """Arrow schema of one join side: from ``hints`` (column -> pandas
+    dtype or pa.DataType, every column of the side) or else from
+    ``ds.schema()``, whose types are Arrow for Arrow blocks and numpy
+    dtypes or the ``object`` class for pandas blocks. ``object`` maps to
+    string — the only object columns the engine joins are strings."""
+    if hints is None:
+        sch = ds.schema()
+        hints = dict(zip(sch.names, sch.types))
 
-    Unlike the native ``Dataset.join``, payload columns may be any
-    pandas-representable type — including ``list<...>`` columns that arrow
-    hash joins reject — so this is the join the near-dedup verify stages
-    use to ship shingle sets / unit vectors to their candidate pairs.
-    Shuffle cost: ONE groupby over the tagged (left ∪ right) rows; no
-    driver materialization. Non-key column names must be disjoint.
-
-    Integer columns of either side are restored after the merge: the
-    union-with-nulls representation floats them, which would silently
-    change output dtypes. Contract: integer/boolean columns must be
-    non-null on their own side (true for every engine use; a legitimately
-    nullable int column would need a sentinel or float carry)."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    right_on = right_on or left_on
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
-
-    def fixed_cols(ds) -> dict[str, str]:
-        sch = ds.schema()  # Ray Schema: .types are pa.DataType OR np dtypes
-        out: dict[str, str] = {}
-        for name, typ in zip(sch.names, sch.types):
-            if isinstance(typ, pa.DataType):
-                if pa.types.is_integer(typ):
-                    out[name] = "int64"
-                elif pa.types.is_boolean(typ):
-                    out[name] = "bool"
-            else:
-                kind = getattr(np.dtype(typ), "kind", "")
-                if kind in ("i", "u"):
-                    out[name] = "int64"
-                elif kind == "b":
-                    out[name] = "bool"
-        return out
-
-    l_fix, r_fix = fixed_cols(left), fixed_cols(right)
-
-    # the sort shuffle concatenates arrow blocks by NAME and requires one
-    # schema — null-pad each side with the other's columns so the union is
-    # schema-uniform (null arrays promote to the real types on concat)
-    l_missing = [c for c in rcols if c not in lcols]
-    r_missing = [c for c in lcols if c not in rcols]
-
-    def tag(side: str, key: str, missing: list[str]):
-        def fn(t: pa.Table) -> pa.Table:
-            t = add_hash_bucket(t, [key], n_buckets)
-            t = t.append_column("__side", pa.array([side] * t.num_rows))
-            for c in missing:
-                t = t.append_column(c, pa.nulls(t.num_rows))
+    def arrow_type(t) -> pa.DataType:
+        if isinstance(t, pa.DataType):
             return t
+        if t is object or t is str or t == "object":
+            return pa.string()
+        return pa.from_numpy_dtype(np.dtype(t))
 
-        return fn
-
-    both = left.map_batches(tag("L", left_on, l_missing), batch_format="pyarrow").union(
-        right.map_batches(tag("R", right_on, r_missing), batch_format="pyarrow")
-    )
-    # blocks = buckets: the grouped stage has at most n_buckets groups, so
-    # more input blocks only inflate the sort exchange (O(blocks^2) block
-    # shuffling dominated a 256-row join arriving as hundreds of
-    # mostly-empty aggregate partitions). n_buckets is the parallelism
-    # knob — raise it for big joins.
-    both = both.repartition(n_buckets)
-
-    if left_on == right_on:
-        out_cols = lcols + [c for c in rcols if c != right_on]
-    else:
-        out_cols = lcols + rcols
-    out_fix = {**r_fix, **l_fix}
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df["__side"] == "L"][lcols].astype(l_fix)
-        r = df[df["__side"] == "R"][rcols].astype(r_fix)
-        return l.merge(r, left_on=left_on, right_on=right_on, how=how)
-
-    def norm_out(df: pd.DataFrame) -> pd.DataFrame:
-        # an empty sort partition passes through map_groups with the INPUT
-        # schema; pin every block to the join's output schema so the result
-        # can feed another shuffle
-        if not all(c in df.columns for c in out_cols):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=out_fix.get(c, "object"))
-                 for c in out_cols}
-            )
-        return df[out_cols]
-
-    return both.groupby("bucket").map_groups(
-        join_bucket, batch_format="pandas"
-    ).map_batches(norm_out, batch_format="pandas")
+    return pa.schema([(c, arrow_type(t)) for c, t in hints.items()])
 
 
-def _schema_pandas_dtypes(*schemas) -> dict:
-    """Column -> pandas dtype map from Dataset schemas, robust to BOTH
-    block kinds: an Arrow-block schema yields pa.DataType entries
-    (mapped via to_pandas_dtype), a pandas-block schema yields numpy
-    dtypes or the Python ``object``/``str`` class directly (pa.array
-    would reject those — the empty-block rebuild must not assume Arrow)."""
-    out: dict = {}
-    for sch in schemas:
-        for n, t in zip(sch.names, sch.types):
-            if n in out:
-                continue
-            if isinstance(t, pa.DataType):
-                try:
-                    out[n] = t.to_pandas_dtype()
-                except NotImplementedError:
-                    out[n] = object
-            elif isinstance(t, type):  # pandas-block object/str columns
-                out[n] = object
-            else:
-                out[n] = t  # already a numpy dtype
-    return out
-
-
-def _pin_join_output(name: str, out_cols: list, col_dtypes: dict):
-    """Post-map_groups normalizer shared by the bucket joins: an empty
-    sort partition passes through with its INPUT schema (bucket/__side +
-    one side's columns) — pin it to the join's output schema so consumers
-    can index any output column. No astype on the non-empty path: a left
-    join legitimately promotes missing right-side ints to float."""
-
-    def norm_out(df: pd.DataFrame) -> pd.DataFrame:
-        if all(c in df.columns for c in out_cols):
-            return df[out_cols]
-        if len(df):
-            raise ValueError(
-                f"{name}: non-empty block missing output columns; "
-                f"got {list(df.columns)}"
-            )
-        return pd.DataFrame(
-            {c: pd.Series([], dtype=col_dtypes[c]) for c in out_cols}
-        )
-
-    return norm_out
-
-
-def _pa_types_for(col_dtypes: dict) -> dict | None:
-    """Column -> pa.DataType map for the Arrow in-bucket join kernel, or
-    None when any declared dtype has no clean Arrow mapping (the caller
-    then keeps the pandas kernel). ``object`` maps to string — the only
-    object columns the engine ships through bucket joins are strings."""
-    out: dict = {}
-    for c, d in col_dtypes.items():
-        if d is object or d is str or d == "object":
-            out[c] = pa.string()
-            continue
-        try:
-            out[c] = pa.from_numpy_dtype(np.dtype(d))
-        except (TypeError, NotImplementedError, pa.ArrowNotImplementedError):
-            return None
-    return out
-
-
-def _arrow_bucket_join(
-    both: rd.Dataset, on: str, lcols: list, rcols: list, pa_types: dict
-) -> rd.Dataset:
-    """Arrow in-bucket INNER join kernel (see bucket_hash_join's
-    ``arrow_kernel`` flag). Group blocks stay Arrow end-to-end: filter by
-    the ``__side`` tag, cast each side back to its declared schema (the
-    exchange null-fills the OTHER side's columns but in Arrow the fill
-    stays typed — the cast is a no-op repair, unlike the pandas path's
-    block-wide float promotion), then one Acero hash join per bucket.
-    Row order within a bucket is Acero's, not pandas merge's — callers
-    of bucket joins are order-insensitive by contract (every consumer
-    aggregates or re-sorts)."""
-    l_schema = pa.schema([(c, pa_types[c]) for c in (on, *lcols)])
-    r_schema = pa.schema([(c, pa_types[c]) for c in (on, *rcols)])
-    out_cols = [on, *lcols, *rcols]
-    out_schema = pa.schema([(c, pa_types[c]) for c in out_cols])
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        names = t.column_names
-
-        def side(tag_val: str, cols: list, sch: pa.Schema) -> pa.Table:
-            if not all(c in names for c in cols):
-                # partition held no blocks of this side; its rows would
-                # have carried these columns (tag appends them pre-union)
-                return sch.empty_table()
-            sub = t.filter(pc.equal(t["__side"], tag_val)).select(cols)
-            return sub.cast(sch)
-
-        l = side("L", [on, *lcols], l_schema)
-        r = side("R", [on, *rcols], r_schema)
-        # use_threads=False: Acero's default pool sizes to ALL host cores
-        # PER TASK — under 16-32 concurrent Ray map tasks that
-        # oversubscribes the box ~30x and measured SLOWER than pandas
-        # merge; single-threaded per bucket, parallelism comes from Ray
-        return l.join(r, keys=[on], join_type="inner", use_threads=False)
-
-    def norm_out(t: pa.Table) -> pa.Table:
-        # empty sort partitions pass through map_groups with the INPUT
-        # schema — pin them to the join's output schema (same contract
-        # as _pin_join_output on the pandas path)
-        if all(c in t.column_names for c in out_cols):
-            return t.select(out_cols)
-        if t.num_rows:
-            raise ValueError(
-                f"arrow bucket join: non-empty block missing output "
-                f"columns; got {t.column_names}"
-            )
-        return out_schema.empty_table()
-
-    return both.groupby("bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    ).map_batches(norm_out, batch_format="pyarrow")
+_ACERO_HOW = {"inner": "inner", "left": "left outer", "outer": "full outer",
+              "semi": "left semi", "anti": "left anti"}
 
 
 def bucket_hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
-    on: str,
-    n_buckets: int = 64,
+    on: "str | list[str]",
+    right_on: "str | list[str] | None" = None,
     how: str = "inner",
+    n_buckets: int = 64,
     left_dtypes: dict | None = None,
     right_dtypes: dict | None = None,
-    arrow_kernel: bool = False,
 ) -> rd.Dataset:
-    """Generic partitioned hash join of two Datasets on one key column.
+    """Partitioned hash join of two Datasets — the engine's one join seam.
 
-    Shuffle cost: one groupby over (left ∪ right) tagged rows. Column sets
-    of the two sides must be disjoint apart from ``on``.
-
-    ``arrow_kernel=True`` opts an INNER join with primitive/string-only
-    columns into the Arrow in-bucket kernel: the per-bucket merge runs as
-    ``pa.Table.join`` (Acero hash join) on zero-copy Arrow group blocks
-    instead of a pandas-converted ``DataFrame.merge`` — no block-wide
-    pandas conversion, no int->float round-trip, no astype repair pass.
-    Falls back to the pandas kernel when ``how != "inner"`` or any
-    declared dtype has no Arrow mapping (the fallback is silent by
-    design: the two kernels are output-equivalent, the flag is purely a
-    performance hint). Measured at sf0.1 (BENCH notes, round 5):
-    graph_pagerank and q9_product_profit, whose bucket joins dominate.
+    ``how`` is inner, left, outer, semi or anti (semi/anti emit the left
+    rows that do / do not match). Each side is tagged (key cast to its
+    declared type, hash ``bucket``, int8 ``__side``), the two sides are
+    unioned and repartitioned to ``n_buckets`` blocks, and
+    ``groupby("bucket").map_groups`` runs one Arrow kernel per bucket.
+    Shuffle cost: one groupby over (left ∪ right) rows; no driver
+    materialization. Non-key column names must be disjoint; when the key
+    names differ both key columns are kept. Payload columns may be any
+    Arrow type (``list<>``, binary): they never enter the hash join.
 
     CALLER NOTE: without explicit dtypes this probes ``left.schema()`` /
     ``right.schema()``. On a LAZY input whose plan contains an all-to-all
@@ -305,87 +112,93 @@ def bucket_hash_join(
     twice. Either materialize shuffle-bearing inputs first (see
     graph.pagerank_trade, which paid 8 s/iteration to this before
     restructuring) or pass ``left_dtypes``/``right_dtypes`` (column ->
-    pandas dtype, INCLUDING ``on``) to skip the probe entirely — the
+    pandas dtype, INCLUDING the key) to skip that side's probe — the
     right call when the side should stream, not pin (e.g. a fact-sized
     semi-join output)."""
     from ..stages.partial_agg import add_hash_bucket
 
-    if left_dtypes is not None and right_dtypes is not None:
-        lnames, rnames = list(left_dtypes), list(right_dtypes)
-        col_dtypes = {**left_dtypes, **right_dtypes}
-    else:
-        lschema, rschema = left.schema(), right.schema()
-        lnames, rnames = list(lschema.names), list(rschema.names)
-        col_dtypes = _schema_pandas_dtypes(lschema, rschema)
-    lcols = [c for c in lnames if c != on]
-    rcols = [c for c in rnames if c != on]
+    lkeys = [on] if isinstance(on, str) else list(on)
+    rkeys = lkeys if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    lsch = _side_schema(left, left_dtypes)
+    rsch = _side_schema(right, right_dtypes)
+    # both sides hash and join on the LEFT key types: a key float-promoted
+    # by an upstream pandas stage would otherwise hash into different
+    # buckets than the other side's int key (silent row loss)
+    for lk, rk in zip(lkeys, rkeys):
+        rsch = rsch.set(rsch.get_field_index(rk),
+                        pa.field(rk, lsch.field(lk).type))
+    same = lkeys == rkeys
+    rkeep = [f for f in rsch if not (same and f.name in rkeys)]
+    out_schema = pa.schema([*lsch, *rkeep])
+    acero_how = _ACERO_HOW[how]
+    kn = [f"__k{i}" for i in range(len(lkeys))]
 
-    try:
-        _key_pa_type = pa.from_numpy_dtype(np.dtype(col_dtypes[on]))
-    except (TypeError, NotImplementedError, pa.ArrowNotImplementedError):
-        _key_pa_type = None  # object/str keys hash as-is
-
-    def tag(side: str):
+    def tag(side: int, keys: list, sch: pa.Schema):
         def fn(t: pa.Table) -> pa.Table:
-            # pin the key to its DECLARED type before hashing: a block
-            # whose key was float-promoted by an upstream pandas stage
-            # would otherwise hash into different buckets than the other
-            # side's int key (silent row loss, not an error)
-            if _key_pa_type is not None and t[on].type != _key_pa_type:
-                t = t.set_column(
-                    t.column_names.index(on), on, pc.cast(t[on], _key_pa_type)
-                )
-            t = add_hash_bucket(t, [on], n_buckets)
-            return t.append_column("__side", pa.array([side] * t.num_rows))
+            t = add_hash_bucket(t.select(sch.names).cast(sch), keys, n_buckets)
+            return t.append_column(
+                "__side", pa.array(np.full(t.num_rows, side, np.int8)))
 
         return fn
 
-    both = left.map_batches(tag("L"), batch_format="pyarrow").union(
-        right.map_batches(tag("R"), batch_format="pyarrow")
+    def rows(t: pa.Table, keys: list, idx: str) -> pa.Table:
+        return pa.Table.from_arrays(
+            [*(t[k] for k in keys), pa.array(np.arange(t.num_rows))],
+            names=[*kn, idx],
+        )
+
+    def join_bucket(t: pa.Table) -> pa.Table:
+        is_left = pc.equal(t["__side"], 0)
+        l, r = t.filter(is_left), t.filter(pc.invert(is_left))
+        # a bucket without rows of one side may also lack its columns
+        l = l.select(lsch.names) if l.num_rows else lsch.empty_table()
+        r = r.select(rsch.names) if r.num_rows else rsch.empty_table()
+        # only (key, row index) enters Acero; payloads are gathered with
+        # take. use_threads=False: Acero's default pool sizes to ALL host
+        # cores PER TASK, oversubscribing the box under concurrent Ray
+        # tasks — parallelism comes from Ray, one thread per bucket
+        j = rows(l, lkeys, "__li").join(
+            rows(r, rkeys, "__ri"), kn, None, acero_how, use_threads=False
+        )
+        lt = l.take(j["__li"])
+        if how in ("semi", "anti"):
+            return lt
+        rt = r.take(j["__ri"])
+        cols = [
+            pc.coalesce(lt[c], rt[c]) if how == "outer" and same and c in lkeys
+            else lt[c]
+            for c in lsch.names
+        ]
+        cols += [rt[f.name] for f in rkeep]
+        return pa.Table.from_arrays(cols, schema=out_schema)
+
+    both = left.map_batches(tag(0, lkeys, lsch), batch_format="pyarrow").union(
+        right.map_batches(tag(1, rkeys, rsch), batch_format="pyarrow")
     )
-    # blocks = buckets before the sort exchange, mirroring
-    # cogroup_bucket_join: the grouped stage has at most n_buckets groups,
-    # and sort cost grows superlinearly with input block count — without
-    # this, iterating joins (graph.pagerank_trade) compounded block counts
-    # 128 -> 384 -> 640 across iterations, tripling each round's wall time
-    both = both.repartition(n_buckets)
-
-    if arrow_kernel and how == "inner":
-        pa_types = _pa_types_for(col_dtypes)
-        if pa_types is not None:
-            return _arrow_bucket_join(both, on, lcols, rcols, pa_types)
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # reindex, not select: a bucket whose rows all came from one side
-        # arrives without the other side's columns (schema follows the
-        # blocks actually present), and an absent side is just empty
-        l = df[df["__side"] == "L"].reindex(columns=[on, *lcols])
-        r = df[df["__side"] == "R"].reindex(columns=[on, *rcols])
-        # restore declared dtypes: the union/repartition exchange merges
-        # the two sides' schemas, null-filling the OTHER side's columns,
-        # and the pandas conversion promotes int64 -> float64 across the
-        # whole block. Each side's own columns are complete here, so the
-        # cast back is lossless — without it the join emits float keys
-        # that hash into DIFFERENT buckets than int keys downstream
-        # (pd.util.hash_array is dtype-family-sensitive), silently
-        # dropping rows in any follow-on bucketed join.
-        l = l.astype({c: col_dtypes[c] for c in (on, *lcols)})
-        r = r.astype({c: col_dtypes[c] for c in (on, *rcols)})
-        return l.merge(r, on=on, how=how)
-
-    norm_out = _pin_join_output(
-        "bucket_hash_join", [on, *lcols, *rcols], col_dtypes
-    )
-    return both.groupby("bucket").map_groups(
-        join_bucket, batch_format="pandas"
-    ).map_batches(norm_out, batch_format="pandas")
+    # blocks = buckets before the sort exchange: the grouped stage has at
+    # most n_buckets groups, and sort cost grows superlinearly with input
+    # block count — without this, iterating joins (graph.pagerank_trade)
+    # compounded block counts 128 -> 384 -> 640 across iterations.
+    # The trailing map_batches never calls its UDF on a 0-row block; it
+    # emits it schema-less. A kernel's 0-row block (a bucket with no
+    # matches) would otherwise pass a downstream select_columns
+    # unprojected (Ray 2.49), and the next join's schema probe would
+    # read the dropped columns off it.
+    return both.repartition(n_buckets).groupby("bucket").map_groups(
+        join_bucket, batch_format="pyarrow"
+    ).map_batches(lambda t: t, batch_format="pyarrow")
 
 
 def segment_revenue_native(sf_dir: str) -> pd.DataFrame:
-    """Native ``Dataset.join`` (hash-partitioned, Ray >= 2.46) showcase:
-    orders ⋈ customer on custkey, exact-cents order value by market
-    segment. The bucket join above is the portable fallback; this is the
-    built-in path when available."""
+    """orders ⋈ customer on custkey, exact-cents order value by market
+    segment, through the partitioned bucket join.
+
+    Ray's native ``Dataset.join`` is not used: measured 3.1-6.3x slower
+    than the bucket join (200k ⋈ 50k int keys, Ray 2.49 with num_cpus=4
+    on a 4-vCPU Xeon VM, 4-8 partitions), and at 16 partitions its
+    hash-shuffle aggregators ask for 14 GiB of memory — on a smaller
+    cluster they are never scheduled and the query hangs."""
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
     )
@@ -400,9 +213,11 @@ def segment_revenue_native(sf_dir: str) -> pd.DataFrame:
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_mktsegment"],
     )
-    joined = orders.map_batches(widen, batch_format="pyarrow").join(
-        cust, join_type="inner", num_partitions=16,
-        on=("o_custkey",), right_on=("c_custkey",),
+    joined = bucket_hash_join(
+        orders.map_batches(widen, batch_format="pyarrow"), cust,
+        on="o_custkey", right_on="c_custkey", n_buckets=16,
+        left_dtypes={"o_custkey": np.int64, "price_c": np.int64},
+        right_dtypes={"c_custkey": np.int64, "c_mktsegment": object},
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -441,8 +256,8 @@ def semi_anti_join(
     single key column: below ``_BROADCAST_KEY_LIMIT`` distinct keys the
     exact set ships once via ray.put and the probe filters inside
     map_batches (no shuffle); above it the build side STAYS a Dataset and
-    membership is decided by a partitioned cogroup join with a marker
-    column — no driver structure proportional to key count on either
+    membership is decided by the partitioned bucket join's semi/anti
+    kernel — no driver structure proportional to key count on either
     path.
 
     ``assume_distinct=True`` skips the dedup shuffle when the caller
@@ -467,23 +282,11 @@ def semi_anti_join(
             )
         n_keys = distinct.count()
         if n_keys > _BROADCAST_KEY_LIMIT:
-            def mark(t: pa.Table) -> pa.Table:
-                return pa.Table.from_arrays(
-                    [t.column(kcol).combine_chunks(),
-                     pa.array(np.ones(t.num_rows, dtype=np.int64))],
-                    names=[on, "__hit"] if kcol != on else [kcol, "__hit"],
-                )
-
-            marker = distinct.map_batches(mark, batch_format="pyarrow")
-            nb = min(256, max(16, n_keys // 10_000))
-            joined = cogroup_bucket_join(probe, marker, on, n_buckets=nb, how="left")
-
-            def pick(df: pd.DataFrame) -> pd.DataFrame:
-                hit = df["__hit"].notna()
-                out = df[~hit if anti else hit]
-                return out.drop(columns=["__hit"])
-
-            return joined.map_batches(pick, batch_format="pandas")
+            return bucket_hash_join(
+                probe, distinct, on=on, right_on=kcol,
+                how="anti" if anti else "semi",
+                n_buckets=min(256, max(16, n_keys // 10_000)),
+            )
         keys = distinct.to_pandas()[kcol]  # bounded by the gate
 
     kref = ray.put(np.asarray(sorted(set(keys))))
@@ -546,13 +349,7 @@ def attach_key_map(
             return out
 
         return facts.map_batches(attach, batch_format="pandas")
-    return bucket_hash_join(
-        facts, d, on=on,
-        left_dtypes=facts_dtypes,
-        right_dtypes=(
-            _schema_pandas_dtypes(d.schema()) if facts_dtypes else None
-        ),
-    )
+    return bucket_hash_join(facts, d, on=on, left_dtypes=facts_dtypes)
 
 
 def lookup_dim_rows(
@@ -570,7 +367,7 @@ def lookup_dim_rows(
     # frame — Ray's to_pandas drops columns on all-empty datasets
     return to_pandas_typed(
         semi_anti_join(dim, keys, on=key_col),
-        _schema_pandas_dtypes(dim.schema()),
+        dict(_side_schema(dim).empty_table().to_pandas().dtypes),
     )
 
 
@@ -638,7 +435,7 @@ def nation_revenue(sf_dir: str) -> pd.DataFrame:
     nation — discounted revenue by customer nation.
 
     Scale composition: pre-aggregate lineitem per orderkey (hash-bucketed),
-    native-join to orders (both large), attach customer->nation through
+    bucket-join to orders (both large), attach customer->nation through
     attach_key_map's adaptive gate (customer scales with the corpus),
     decode the 25-row nation-name map in the final grouped sum."""
     import pyarrow.parquet as pq_
@@ -665,9 +462,14 @@ def nation_revenue(sf_dir: str) -> pd.DataFrame:
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_custkey"]
     )
-    joined = li_agg.join(
-        orders, join_type="inner", num_partitions=16,
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    # hinted: the left side streams out of the grouped sum, and a schema
+    # probe would run its shuffle twice (CALLER NOTE on bucket_hash_join);
+    # the right side is hinted too, so the join probes nothing
+    joined = bucket_hash_join(
+        li_agg, orders, on="l_orderkey", right_on="o_orderkey",
+        n_buckets=16,
+        left_dtypes={"l_orderkey": np.int64, "rev_c4": np.int64},
+        right_dtypes={"o_orderkey": np.int64, "o_custkey": np.int64},
     )
 
     nation = pq_.read_table(
@@ -743,7 +545,7 @@ def order_lineitem_revenue(sf_dir: str) -> pd.DataFrame:
         batch_format="pyarrow",
     )
 
-    joined = bucket_hash_join(li_agg, orders, on="l_orderkey", arrow_kernel=True)
+    joined = bucket_hash_join(li_agg, orders, on="l_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("o_orderstatus", as_index=False).agg(
@@ -854,9 +656,7 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA") -> pd.DataFrame:
                       "rev_c4": np.int64},
     ).select_columns(["l_orderkey", "s_nk", "rev_c4"])
 
-    joined = bucket_hash_join(
-        l_stream, o_stream, on="l_orderkey", arrow_kernel=True
-    )
+    joined = bucket_hash_join(l_stream, o_stream, on="l_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["s_nk"] == df["c_nk"]]
@@ -920,15 +720,11 @@ def orders_above_cust_avg(sf_dir: str) -> pd.DataFrame:
     )
     per_cust = compact_nonempty(per_cust)  # + schema-probe materialize
 
-    joined = bucket_hash_join(wide, per_cust, on="o_custkey", arrow_kernel=True)
+    joined = bucket_hash_join(wide, per_cust, on="o_custkey")
 
     def flt(df: pd.DataFrame) -> pd.DataFrame:
         cols = {"o_orderkey": "int64", "o_custkey": "int64",
                 "o_totalprice": "float64"}
-        need = ["o_orderkey", "o_custkey", "o_totalprice", "price_c", "sum_c", "n"]
-        if not all(c in df.columns for c in need):
-            # empty sort partition passed through with its input schema
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
         keep = df[df["price_c"].to_numpy(np.int64) * df["n"].to_numpy(np.int64)
                   > df["sum_c"].to_numpy(np.int64)]
         return keep[list(cols)].astype(cols)
@@ -965,13 +761,8 @@ def cust_order_counts(sf_dir: str) -> pd.DataFrame:
     joined = bucket_hash_join(cust, per_cust, on="c_custkey", how="left")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"c_custkey": "int64", "n_orders": "int64"}
-        if "c_custkey" not in df.columns:
-            # empty sort partition passed through with its input schema
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
         out = pd.DataFrame({"c_custkey": df["c_custkey"].astype(np.int64)})
-        n = df["n"] if "n" in df.columns else pd.Series(np.nan, index=df.index)
-        out["n_orders"] = n.fillna(0).astype(np.int64)
+        out["n_orders"] = df["n"].fillna(0).astype(np.int64)
         return out
 
     return (
@@ -1191,9 +982,7 @@ def q7_nation_flows(sf_dir: str) -> pd.DataFrame:
         facts_dtypes={"l_orderkey": np.int64, "o_custkey": np.int64},
     ).select_columns(["l_orderkey", "c_nk"])
 
-    joined = bucket_hash_join(
-        l_stream, o_stream, on="l_orderkey", arrow_kernel=True
-    )
+    joined = bucket_hash_join(l_stream, o_stream, on="l_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["s_nk"] != df["c_nk"]]
@@ -1417,7 +1206,6 @@ def q10_returned_items(sf_dir: str, k: int = 20) -> pd.DataFrame:
         li.map_batches(l_side, batch_format="pandas"),
         orders.map_batches(o_side, batch_format="pandas"),
         on="l_orderkey",
-        arrow_kernel=True,
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1582,53 +1370,36 @@ def salted_bucket_join(
     knowledge. Column sets must be disjoint apart from ``on``."""
     import ray
 
-    from ..stages.partial_agg import add_hash_bucket
-
-    lschema, rschema = left.schema(), right.schema()
-    lcols = [c for c in lschema.names if c != on]
-    rcols = [c for c in rschema.names if c != on]
-    col_dtypes = _schema_pandas_dtypes(lschema, rschema)
     hot_ref = ray.put(np.asarray(list(hot_keys)))
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = add_hash_bucket(t, [on], n_buckets)
-        hot = np.isin(t.column(on).to_numpy(zero_copy_only=False),
-                      ray.get(hot_ref))
-        s = np.where(hot, np.arange(t.num_rows, dtype=np.int64) % salt, 0)
-        t = t.append_column("__salt", pa.array(s))
-        return t.append_column("__side", pa.array(["L"] * t.num_rows))
+    def is_hot(t: pa.Table) -> np.ndarray:
+        return np.isin(t.column(on).to_numpy(zero_copy_only=False),
+                       ray.get(hot_ref))
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = add_hash_bucket(t, [on], n_buckets)
-        hot = np.isin(t.column(on).to_numpy(zero_copy_only=False),
-                      ray.get(hot_ref))
-        idx = np.concatenate(
-            [np.flatnonzero(~hot)]
-            + [np.flatnonzero(hot)] * salt
+    def salt_left(t: pa.Table) -> pa.Table:
+        s = np.where(is_hot(t), np.arange(t.num_rows, dtype=np.int64) % salt, 0)
+        return t.append_column("__salt", pa.array(s))
+
+    def salt_right(t: pa.Table) -> pa.Table:
+        hot = is_hot(t)
+        cold_idx, hot_idx = np.flatnonzero(~hot), np.flatnonzero(hot)
+        t = t.take(pa.array(np.concatenate([cold_idx] + [hot_idx] * salt)))
+        s = np.repeat(np.arange(salt, dtype=np.int64), len(hot_idx))
+        return t.append_column(
+            "__salt", pa.array(np.concatenate([np.zeros(len(cold_idx), np.int64), s]))
         )
-        s = np.concatenate(
-            [np.zeros((~hot).sum(), dtype=np.int64)]
-            + [np.full(hot.sum(), j, dtype=np.int64) for j in range(salt)]
-        )
-        t = t.take(pa.array(idx))
-        t = t.append_column("__salt", pa.array(s))
-        return t.append_column("__side", pa.array(["R"] * t.num_rows))
 
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
+    def hints(ds: rd.Dataset) -> dict:
+        # from the unsalted side: probing the salted map would run it
+        return {**{f.name: f.type for f in _side_schema(ds)},
+                "__salt": pa.int64()}
 
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df["__side"] == "L"].reindex(columns=[on, *lcols])
-        r = df[df["__side"] == "R"].reindex(columns=[on, *rcols])
-        return l.merge(r, on=on, how="inner")
-
-    norm_out = _pin_join_output(
-        "salted_bucket_join", [on, *lcols, *rcols], col_dtypes
-    )
-    return both.groupby(["bucket", "__salt"]).map_groups(
-        join_bucket, batch_format="pandas"
-    ).map_batches(norm_out, batch_format="pandas")
+    return bucket_hash_join(
+        left.map_batches(salt_left, batch_format="pyarrow"),
+        right.map_batches(salt_right, batch_format="pyarrow"),
+        on=[on, "__salt"], n_buckets=n_buckets,
+        left_dtypes=hints(left), right_dtypes=hints(right),
+    ).drop_columns(["__salt"])
 
 
 Q15_FROM, Q15_TO = "1996-10-01", "1997-01-01"
@@ -1867,9 +1638,7 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
                       "o_year": np.int64},
     ).select_columns(["l_orderkey", "o_year"])
 
-    joined = bucket_hash_join(
-        l_stream, o_stream, on="l_orderkey", arrow_kernel=True
-    )
+    joined = bucket_hash_join(l_stream, o_stream, on="l_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(

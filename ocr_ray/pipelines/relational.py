@@ -1096,7 +1096,7 @@ def users_click_purchase_outer(sf_dir: str) -> pd.DataFrame:
     user-hash bucket shuffle sums them. One barrier instead of the naive
     plan's three (two grouped counts + a cogroup exchange); measured 3.5x
     at sf0.1. Independently-sourced tables use the general
-    ``cogroup_bucket_join(how='outer')`` (unit-tested on its own)."""
+    ``bucket_hash_join(how='outer')`` (unit-tested on its own)."""
     from ..stages.partial_agg import add_hash_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])

@@ -367,7 +367,6 @@ def q9_product_profit(sf_dir: str) -> pd.DataFrame:
         left_dtypes={"l_orderkey": "int64", "s_nk": "int64",
                      "amount_c4": "int64"},
         right_dtypes={"l_orderkey": "int64", "o_year": "int64"},
-        arrow_kernel=True,
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -517,7 +516,7 @@ def q12_shipmode_priority(sf_dir: str) -> pd.DataFrame:
 
     joined = bucket_hash_join(
         li.map_batches(l_side, batch_format="pandas"), orders,
-        on="l_orderkey", arrow_kernel=True,
+        on="l_orderkey",
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:

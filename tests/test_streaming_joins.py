@@ -104,10 +104,10 @@ def test_bucket_hash_join_matches_pandas(ray_session):
 
 
 def test_bucket_hash_join_arrow_kernel_matches_pandas(ray_session):
-    """arrow_kernel=True (Acero in-bucket join) is output-equivalent to
-    the pandas kernel: same rows, declared int dtypes preserved (no
-    float promotion), empty-partition pins intact under more buckets
-    than keys, and the output chains into a follow-on bucketed join."""
+    """The Arrow in-bucket kernel matches pandas merge: same rows,
+    declared int dtypes preserved (no float promotion), more buckets
+    than keys (empty partitions), and the output chains into a
+    follow-on bucketed join."""
     import ray.data as rd
 
     from ocr_ray.pipelines.joins import bucket_hash_join
@@ -116,27 +116,26 @@ def test_bucket_hash_join_arrow_kernel_matches_pandas(ray_session):
     right = pd.DataFrame({"k": [2, 3, 3, 4], "b": [10, 20, 30, 40]})
     ds = bucket_hash_join(
         rd.from_pandas(left), rd.from_pandas(right), on="k", n_buckets=16,
-        arrow_kernel=True,
     )
     got = ds.to_pandas().sort_values(["k", "a", "b"]).reset_index(drop=True)
     exp = left.merge(right, on="k").sort_values(["k", "a", "b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, exp)
     assert got["k"].dtype == "int64" and got["b"].dtype == "int64"
 
-    # chains: feed the arrow-kernel output into a second bucketed join
+    # chains: feed the join output into a second bucketed join
     dim = pd.DataFrame({"k": [2, 3], "c": [7, 8]})
     got2 = bucket_hash_join(
-        ds, rd.from_pandas(dim), on="k", n_buckets=4, arrow_kernel=True,
+        ds, rd.from_pandas(dim), on="k", n_buckets=4,
         left_dtypes={"k": "int64", "a": object, "b": "int64"},
         right_dtypes={"k": "int64", "c": "int64"},
     ).to_pandas().sort_values(["k", "a", "b"]).reset_index(drop=True)
     exp2 = exp.merge(dim, on="k").sort_values(["k", "a", "b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got2, exp2)
 
-    # non-inner how falls back to the pandas kernel (silent, equivalent)
+    # left join: unmatched rows carry nulls in the right-side columns
     gotl = bucket_hash_join(
         rd.from_pandas(left), rd.from_pandas(right), on="k", n_buckets=4,
-        how="left", arrow_kernel=True,
+        how="left",
     ).to_pandas().sort_values(["k", "a", "b"]).reset_index(drop=True)
     expl = left.merge(right, on="k", how="left").sort_values(
         ["k", "a", "b"]).reset_index(drop=True)
@@ -144,17 +143,18 @@ def test_bucket_hash_join_arrow_kernel_matches_pandas(ray_session):
 
 
 def test_cogroup_bucket_join_different_keys_and_dtypes(ray_session):
-    """cogroup_bucket_join: differently-named keys, int dtypes restored
-    after the null-padded union (no silent float upcast), chains into a
-    second shuffle without schema poisoning."""
+    """bucket_hash_join: differently-named keys, int dtypes kept through
+    the union (no silent float upcast), chains into a second shuffle
+    without schema poisoning."""
     import ray.data as rd
 
-    from ocr_ray.pipelines.joins import cogroup_bucket_join
+    from ocr_ray.pipelines.joins import bucket_hash_join
 
     left = pd.DataFrame({"ka": [1, 2, 2, 3], "v": [10, 20, 30, 40]})
     right = pd.DataFrame({"kb": [2, 3, 4], "w": [200, 300, 400]})
-    out = cogroup_bucket_join(
-        rd.from_pandas(left), rd.from_pandas(right), "ka", "kb", n_buckets=4
+    out = bucket_hash_join(
+        rd.from_pandas(left), rd.from_pandas(right), on="ka", right_on="kb",
+        n_buckets=4,
     )
     # chain a second shuffle over the join output (empty partitions must
     # not leak foreign schemas)
@@ -182,7 +182,7 @@ def test_cogroup_bucket_join_binary_payload(ray_session):
 
     import ray.data as rd
 
-    from ocr_ray.pipelines.joins import cogroup_bucket_join
+    from ocr_ray.pipelines.joins import bucket_hash_join
 
     pairs = rd.from_arrow(pa.table({"doc_a": pa.array([1, 2, 3], pa.int64())}))
     payload = rd.from_arrow(
@@ -196,7 +196,7 @@ def test_cogroup_bucket_join_binary_payload(ray_session):
             }
         )
     )
-    out = cogroup_bucket_join(pairs, payload, "doc_a", n_buckets=2).to_pandas()
+    out = bucket_hash_join(pairs, payload, on="doc_a", n_buckets=2).to_pandas()
     out = out.sort_values("doc_a").reset_index(drop=True)
     assert len(out) == 3
     for _, r in out.iterrows():
@@ -237,12 +237,15 @@ def test_semi_anti_join_distributed_path_matches_broadcast(ray_session):
 
 
 def test_cogroup_bucket_join_randomized_vs_pandas(ray_session):
-    """Randomized cogroup join == pandas merge across seeds, key skews,
-    missing keys, bucket counts, and both key-name arrangements."""
+    """Randomized bucket join == pandas merge (isin for semi/anti) across
+    seeds, key skews, missing keys, bucket counts, both key-name
+    arrangements, every ``how``, list<int64> and binary payloads, more
+    buckets than keys (one-sided buckets) and an empty side."""
     import numpy as np
+    import pyarrow as pa
     import ray.data as rd
 
-    from ocr_ray.pipelines.joins import cogroup_bucket_join
+    from ocr_ray.pipelines.joins import bucket_hash_join
 
     for seed in (0, 1, 2):
         rng = np.random.RandomState(seed)
@@ -256,10 +259,10 @@ def test_cogroup_bucket_join_randomized_vs_pandas(ray_session):
         )
         nb = int(rng.choice([2, 8, 64]))
         got = (
-            cogroup_bucket_join(
+            bucket_hash_join(
                 rd.from_pandas(left).repartition(5),
                 rd.from_pandas(right).repartition(3),
-                "k", "rk", n_buckets=nb,
+                on="k", right_on="rk", n_buckets=nb,
             )
             .to_pandas()
             .sort_values(["k", "a", "b"])
@@ -273,6 +276,73 @@ def test_cogroup_bucket_join_randomized_vs_pandas(ray_session):
         pd.testing.assert_frame_equal(got[want.columns.tolist()], want,
                                       check_dtype=False)
         assert got["a"].dtype == "int64" and got["k"].dtype == "int64"
+
+    def canon(df: pd.DataFrame, cols: list) -> list:
+        # order-free row multiset; numbers compare as float, null/NaN as
+        # None, list payloads as tuples
+        def cell(v):
+            if isinstance(v, (list, np.ndarray)):
+                return tuple(int(x) for x in v)
+            if v is None or (isinstance(v, float) and np.isnan(v)):
+                return None
+            if isinstance(v, (int, float, np.integer, np.floating)):
+                return float(v)
+            return v
+
+        return sorted(
+            (tuple(cell(v) for v in row)
+             for row in df[cols].itertuples(index=False)),
+            key=repr,
+        )
+
+    rng = np.random.RandomState(7)
+    left = pd.DataFrame({
+        "k": rng.randint(0, 12, 60).astype(np.int64),
+        "a": np.arange(60, dtype=np.int64),
+        "la": [list(range(i % 4)) for i in range(60)],
+    })
+    right = pd.DataFrame({
+        "rk": rng.randint(6, 18, 30).astype(np.int64),
+        "rb": [bytes([i, 255 - i]) for i in range(30)],
+    })
+    lt = pa.Table.from_pandas(left, preserve_index=False).cast(pa.schema(
+        [("k", pa.int64()), ("a", pa.int64()), ("la", pa.list_(pa.int64()))]))
+    rt = pa.Table.from_pandas(right, preserve_index=False).cast(pa.schema(
+        [("rk", pa.int64()), ("rb", pa.binary())]))
+
+    def blocks(t: pa.Table) -> rd.Dataset:
+        # 25-row blocks; an empty side is one empty block with a schema
+        return rd.from_arrow(
+            [t.slice(i, 25) for i in range(0, max(t.num_rows, 1), 25)])
+
+    def check(lt, rt, how, on, right_on, nb):
+        ds = bucket_hash_join(blocks(lt), blocks(rt), on=on,
+                              right_on=right_on, how=how,
+                              n_buckets=nb).materialize()
+        lp, rp = lt.to_pandas(), rt.to_pandas()
+        rkey = right_on or on
+        if how in ("semi", "anti"):
+            hit = lp[on].isin(rp[rkey])
+            want = lp[hit if how == "semi" else ~hit]
+        else:
+            want = lp.merge(rp, left_on=on, right_on=rkey, how=how)
+        cols = list(want.columns)
+        case = (how, on, right_on, nb)
+        assert ds.count() == len(want), case
+        # a zero-row result is only Ray's schema-less filler blocks
+        if len(want):
+            assert sorted(ds.schema().names) == sorted(cols), case
+            got = pd.DataFrame(ds.take_all())  # to_pandas rejects ragged lists
+            assert canon(got, cols) == canon(want, cols), case
+
+    same = rt.rename_columns(["k", "rb"])
+    for how in ("inner", "left", "outer", "semi", "anti"):
+        # 64 buckets over <= 18 keys: most buckets hold one side only
+        check(lt, rt, how, "k", "rk", 64)
+        check(lt, same, how, "k", None, 3)
+        check(lt, rt.slice(0, 0), how, "k", "rk", 4)  # empty right side
+    for how in ("inner", "outer"):
+        check(lt.slice(0, 0), rt, how, "k", "rk", 4)  # empty left side
 
 
 def test_cluster_pairs_dataset_matches_union_find(ray_session):
@@ -946,15 +1016,15 @@ def test_user_value_mad_matches_brute(ray_session, tmp_path):
 def test_cogroup_bucket_join_outer_preserves_both_orphan_sides(ray_session):
     import ray.data as rd
 
-    from ocr_ray.pipelines.joins import cogroup_bucket_join
+    from ocr_ray.pipelines.joins import bucket_hash_join
 
     left = pd.DataFrame({"k": np.array([1, 2, 2, 3], dtype=np.int64),
                          "a": np.array([10, 20, 21, 30], dtype=np.int64)})
     right = pd.DataFrame({"k": np.array([2, 4], dtype=np.int64),
                           "b": np.array([200, 400], dtype=np.int64)})
     got = (
-        cogroup_bucket_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", n_buckets=4, how="outer")
+        bucket_hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                         on="k", n_buckets=4, how="outer")
         .to_pandas().sort_values(["k", "a"]).reset_index(drop=True)
     )
     exp = left.merge(right, on="k", how="outer").sort_values(
@@ -1033,6 +1103,38 @@ def test_salted_join_no_hot_keys_degenerates_to_plain(ray_session):
     pd.testing.assert_frame_equal(
         got[["k", "lv", "rv"]], exp[["k", "lv", "rv"]], check_dtype=False
     )
+
+
+def test_native_join_queries_match_oracle(ray_session):
+    """nation_revenue and segment_revenue_native once ran on Ray's native
+    Dataset.join, whose hash-shuffle aggregators reserve more memory
+    than a 4-CPU session has and so never start; on the bucket join both
+    finish and match their DuckDB twins order-insensitively (the
+    tools/check_queries.py comparison)."""
+    import sys
+
+    import duckdb
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if repo not in sys.path:
+        sys.path.insert(0, repo)
+    import __ray_entry__ as entry
+
+    def canon(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[sorted(df.columns)]
+        df = df.astype({c: float for c in df.columns
+                        if np.issubdtype(df[c].dtype, np.number)})
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    con = duckdb.connect()
+    for t in ("region", "nation", "customer", "orders", "lineitem"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"read_parquet('{SF}/{t}.parquet')")
+    qs, oracles = entry.queries(), entry.oracle_sql()
+    for name in ("nation_revenue", "segment_revenue_native"):
+        got = canon(qs[name](SF))
+        want = canon(con.sql(oracles[name]).df())
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 def test_bucket_hash_join_explicit_dtypes_skip_probe(ray_session):
