@@ -5134,7 +5134,8 @@ def oracle_sql() -> dict[str, str]:
         -- (16-char alnum key, doc_id), pair docs at rank distance 1..4,
         -- verify exact distinct-token-set Jaccard >= 9/10 compared as
         -- integers (10*inter >= 9*uni) — no float envelope; token sets
-        -- are the SAME md5-le64 %% (2^61-1) hashes the engine computes
+        -- hash with md5-le64 %% (2^61-1), the engine's only token hash
+        -- (dedup._snm_token_hashes)
         WITH key AS (
           SELECT doc_id,
                  substr(regexp_replace(lower(text), '[^a-z0-9]+', '', 'g'),

@@ -48,7 +48,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.partial_agg import contiguous_array, split_ws
+from ..stages.partial_agg import contiguous_array, local_table, split_ws
 
 __all__ = ["bpe_merges", "bpe_merges_from_words", "bpe_encode_stats"]
 
@@ -70,12 +70,6 @@ def _word_counts(docs):
         docs.map_batches(toks_of, batch_format="pyarrow"),
         ["tok"], [], count_alias="freq",
     )
-
-
-# below this many distinct words the k training rounds run driver-local
-# on one Arrow table (identical kernels, bit-equal results) instead of
-# paying 2k dataset executions of fixed overhead
-_BPE_LOCAL_GATE_WORDS = 200_000
 
 
 def _pair_counts_table(t: pa.Table, exclude) -> "collections.Counter":
@@ -119,19 +113,6 @@ def _train_local(tbl: pa.Table, k: int):
         l, r = pair.split(" ")
         tbl = _apply_merge_table(tbl, l, r)
     return chosen, tbl
-
-
-def _dataset_to_table(ds) -> pa.Table:
-    import ray
-
-    refs = ds.to_arrow_refs()
-    if not refs:
-        return pa.table({"syms": pa.array([], pa.string()),
-                         "freq": pa.array([], pa.int64())})
-    tabs = [t for t in ray.get(refs) if t.num_rows > 0] or [ray.get(refs[0])]
-    return pa.concat_tables(
-        [t.select(["syms", "freq"]) for t in tabs]
-    ).combine_chunks()
 
 
 def bpe_merges(docs, k: int = 6) -> pd.DataFrame:
@@ -181,8 +162,10 @@ def _train(word_counts, k: int):
     # overhead). Runs the IDENTICAL batch kernels on one local table —
     # same pair counter, same tie-break, same replace pass — so results
     # are bit-equal to the distributed plan by construction.
-    if words.count() < _BPE_LOCAL_GATE_WORDS:
-        chosen, tbl = _train_local(_dataset_to_table(words), k)
+    full = local_table(words, "bpe", pa.schema(
+        [("syms", pa.string()), ("freq", pa.int64())]))
+    if full is not None:
+        chosen, tbl = _train_local(full, k)
         import ray.data as rd
 
         return chosen, rd.from_arrow(tbl)

@@ -21,7 +21,6 @@ Pair outputs are canonical (doc_a < doc_b) and deduplicated across buckets.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pandas as pd
@@ -104,30 +103,14 @@ _SHINGLE_K = 3
 _SEED = 42
 
 
-def _token_hashes(text: str, fast: bool | None = None) -> np.ndarray:
-    """Stable 61-bit hashes of word 3-gram shingles (canonical lowercase).
-
-    Default path: md5 of the joined shingle string — pinned because the
-    DuckDB oracle replays it bit-for-bit (`_md5_le64_terms`). Production
-    flag ``OCR_RAY_FAST_HASH=1``: hash each TOKEN once (pandas
-    hash_array — one C pass, process-stable) and combine K consecutive
-    token hashes with a vectorized polynomial mix — no shingle-string
-    construction and no per-shingle Python md5 call. The two paths give
-    different (equally uniform) hash values, so candidate generation is
-    statistically identical but not bit-identical; keep the default for
-    oracle parity, flip the flag for throughput."""
+def _token_hashes(text: str) -> np.ndarray:
+    """Stable 61-bit hashes of word 3-gram shingles (canonical lowercase):
+    md5 of the joined shingle string, which the DuckDB oracle replays
+    bit-for-bit (`_md5_le64_terms`)."""
     toks = text.lower().split()
     if len(toks) < _SHINGLE_K:
         toks = toks + ["\x00"] * (_SHINGLE_K - len(toks))
-    if fast is None:
-        fast = os.environ.get("OCR_RAY_FAST_HASH", "") not in ("", "0")
     n_sh = len(toks) - _SHINGLE_K + 1
-    if fast:
-        th = pd.util.hash_array(np.array(toks, dtype=object), categorize=False)
-        h = th[:n_sh].copy()
-        for k in range(1, _SHINGLE_K):
-            h = h * np.uint64(1099511628211) + th[k : n_sh + k]
-        return np.unique(h % _MERSENNE)
     out = np.empty(n_sh, dtype=np.uint64)
     for i in range(len(out)):
         sh = " ".join(toks[i : i + _SHINGLE_K])
@@ -184,8 +167,7 @@ def exact_dedup(docs: rd.Dataset) -> rd.Dataset:
 _DUP_WINDOW = 8
 
 
-def _window_rows(t: pa.Table, window: int,
-                 fast: bool | None = None) -> pa.Table:
+def _window_rows(t: pa.Table, window: int) -> pa.Table:
     """Explode each doc into one row per length-``window`` token window:
     (doc_id, pos 1-based, wkey, n_tokens).
 
@@ -196,22 +178,9 @@ def _window_rows(t: pa.Table, window: int,
     multi-byte UTF-8 sequence, so the byte slice equals the joined-token
     string), no per-window string join. The oracle replays the identical
     key (`_md5_le64_terms`), so grouping semantics are bit-equal by
-    construction, collisions included.
-
-    Production flag ``OCR_RAY_FAST_HASH=1`` (same convention as
-    `_token_hashes`): ONE pandas hash_array pass over the batch's whole
-    token stream + a vectorized width-``window`` rolling polynomial,
-    windows crossing doc boundaries masked out — no per-window md5 call.
-    Hash values differ from the md5 path but duplicate DECISIONS are
-    content-equality based, so the emitted output is identical modulo
-    64-bit collisions (parity-tested); keep the default for oracle
-    parity, flip the flag for throughput."""
-    if fast is None:
-        fast = os.environ.get("OCR_RAY_FAST_HASH", "") not in ("", "0")
+    construction, collisions included."""
     ids = t.column("doc_id").to_numpy(zero_copy_only=False)
     texts = t.column("text").to_pylist()
-    if fast:
-        return _window_rows_fast(ids, texts, window)
     doc_out: list[np.ndarray] = []
     pos_out: list[np.ndarray] = []
     ntk_out: list[np.ndarray] = []
@@ -245,56 +214,6 @@ def _window_rows(t: pa.Table, window: int,
         "pos": np.concatenate(pos_out),
         "wkey": np.asarray(key_out, dtype=np.int64),
         "n_tokens": np.concatenate(ntk_out),
-    })
-
-
-def _window_rows_fast(ids: np.ndarray, texts: list[str],
-                      window: int) -> pa.Table:
-    """Vectorized window keys: one hash_array over the batch's
-    concatenated token stream, width-``window`` rolling polynomial mix,
-    cross-doc windows masked by comparing each window's start/end doc
-    ids. Empty token lists cannot occur (''.split(' ') == [''])."""
-    tok_parts: list[list[str]] = []
-    doc_of: list[np.ndarray] = []
-    ntk: list[int] = []
-    for d, s in zip(ids, texts):
-        tk = s.split(" ")
-        tok_parts.append(tk)
-        ntk.append(len(tk))
-    if not tok_parts:
-        return pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "pos": pa.array([], pa.int64()),
-            "wkey": pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-        })
-    counts = np.asarray(ntk, dtype=np.int64)
-    all_toks = np.array(
-        [w for tk in tok_parts for w in tk], dtype=object
-    )
-    docv = np.repeat(ids.astype(np.int64), counts)
-    ntkv = np.repeat(counts, counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    th = pd.util.hash_array(all_toks, categorize=False)
-    n = th.size
-    m = n - window + 1
-    if m <= 0:
-        return pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "pos": pa.array([], pa.int64()),
-            "wkey": pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-        })
-    h = th[:m].copy()
-    for j in range(1, window):
-        h = h * np.uint64(1099511628211) + th[j:m + j]
-    valid = docv[:m] == docv[window - 1:]
-    key = (h[valid] % _MERSENNE).astype(np.int64)
-    return pa.table({
-        "doc_id": docv[:m][valid],
-        "pos": (np.arange(m, dtype=np.int64) - starts[:m] + 1)[valid],
-        "wkey": key,
-        "n_tokens": ntkv[:m][valid],
     })
 
 
@@ -1573,10 +1492,6 @@ _SNM_KEY_LEN = 16
 # keep pairs with token-set Jaccard >= 9/10, compared as integers
 # (10*inter >= 9*uni) so the oracle has NO float envelope at all
 _SNM_TAU_NUM, _SNM_TAU_DEN = 9, 10
-# below this many docs the whole pass runs driver-local through the same
-# kernels (the graph_triangles fixed-overhead lesson); the sort + two
-# boundary passes + verify join are pure overhead on sandbox SFs
-_SNM_LOCAL_GATE_DOCS = 50_000
 
 
 def _snm_keys_batch(t: pa.Table) -> pa.Table:
@@ -1615,22 +1530,15 @@ def _snm_window_pairs(ids: np.ndarray, window: int):
     return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
 
 
-def _snm_token_hashes(text: str, fast: bool | None = None) -> np.ndarray:
-    """Sorted unique 61-bit hashes of the doc's lowercased whitespace
-    tokens. Default md5-le64 path is replayed bit-for-bit by the oracle
-    (`_md5_le64_terms`); OCR_RAY_FAST_HASH=1 swaps in one vectorized
-    pandas hash_array pass (same convention as `_token_hashes`). A
-    token-less doc yields an EMPTY set (its pairs then fail the verify
-    below, mirroring the oracle's inner joins which drop such docs)."""
+def _snm_token_hashes(text: str) -> np.ndarray:
+    """Sorted unique 61-bit md5-le64 hashes of the doc's lowercased
+    whitespace tokens, replayed bit-for-bit by the oracle
+    (`_md5_le64_terms`). A token-less doc yields an EMPTY set (its pairs
+    then fail the verify below, mirroring the oracle's inner joins which
+    drop such docs)."""
     toks = np.unique(np.array(text.lower().split(), dtype=object))
     if toks.size == 0:
         return np.empty(0, dtype=np.uint64)
-    if fast is None:
-        fast = os.environ.get("OCR_RAY_FAST_HASH", "") not in ("", "0")
-    if fast:
-        return np.unique(
-            pd.util.hash_array(toks, categorize=False) % _MERSENNE
-        )
     out = np.empty(toks.size, dtype=np.uint64)
     for i, tk in enumerate(toks):
         out[i] = int.from_bytes(
@@ -1668,12 +1576,7 @@ def _snm_verify(tok_of: dict, a: np.ndarray, b: np.ndarray) -> pd.DataFrame:
     })
 
 
-def snm_pairs(
-    docs: rd.Dataset,
-    window: int = _SNM_WINDOW,
-    *,
-    force_distributed: bool = False,
-) -> pd.DataFrame:
+def snm_pairs(docs: rd.Dataset, window: int = _SNM_WINDOW) -> pd.DataFrame:
     """Sorted-neighborhood near-duplicate pairs: sort every doc by
     (snm_key, doc_id), compare each doc to its <= window-1 successors in
     the sorted order, keep pairs whose exact distinct-token-set Jaccard
@@ -1704,32 +1607,26 @@ def snm_pairs(
 
     from ..pipelines.joins import bucket_hash_join
     from ..stages.partial_agg import from_pandas as _fp
+    from ..stages.partial_agg import local_table
 
     w = int(window)
     if w < 2:
         raise ValueError("snm window must be >= 2")
 
-    n_docs = docs.count()
     empty = pd.DataFrame({
         "doc_a": pd.Series([], dtype="int64"),
         "doc_b": pd.Series([], dtype="int64"),
         "inter": pd.Series([], dtype="int64"),
         "uni": pd.Series([], dtype="int64"),
     })
-    if n_docs == 0:
-        return empty
 
-    if n_docs < _SNM_LOCAL_GATE_DOCS and not force_distributed:
+    full = local_table(docs, "snm", pa.schema(
+        [("doc_id", pa.int64()), ("text", pa.string())]))
+    if full is not None:
         # driver-local path through the IDENTICAL kernels: one pull of
         # (doc_id, text), key batch -> pandas sort -> single-run pair
         # generation -> dict verify. Bit-equal to the distributed plan
         # by construction (forced-distributed parity test pins both).
-        refs = docs.to_arrow_refs()
-        tabs = [t.select(["doc_id", "text"]) for t in ray.get(refs)
-                if t.num_rows > 0]
-        if not tabs:
-            return empty
-        full = pa.concat_tables(tabs).combine_chunks()
         keys = _snm_keys_batch(full).to_pandas()
         keys = keys.sort_values(["snm_key", "doc_id"], kind="mergesort")
         a, b = _snm_window_pairs(keys["doc_id"].to_numpy(np.int64), w)
@@ -1751,6 +1648,8 @@ def snm_pairs(
         .sort(["snm_key", "doc_id"])
         .materialize()
     )
+    if not sorted_ds.count():  # materialized: metadata only
+        return empty
 
     _BOUND = pa.schema([
         ("bk_key", pa.string()), ("bk_id", pa.int64()),

@@ -21,6 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..stages.partial_agg import local_table
 from .dedup import _COS_DECIMALS
 
 __all__ = ["default_queries", "knn_brute", "knn_ivf", "kmeans_assign",
@@ -28,6 +29,11 @@ __all__ = ["default_queries", "knn_brute", "knn_ivf", "kmeans_assign",
            "embedding_covariance", "pca_project"]
 
 _SEED = 42
+
+# the (vec_id, embedding) projection the gated embedding operators pull
+# driver-local below their LOCAL_ROW_LIMITS entry
+_EMB = pa.schema([("vec_id", pa.int64()),
+                  ("embedding", pa.list_(pa.float32()))])
 
 
 def _to_matrix(batch: pa.Table) -> np.ndarray:
@@ -314,9 +320,8 @@ SEMDEDUP_TAU = 0.35
 # O(cluster_size * _SEMDEDUP_CHUNK * 8B) instead of O(cluster_size^2)
 _SEMDEDUP_CHUNK = 1024
 
-# below this many vectors the whole dedup runs driver-local on one
-# matrix (identical kernels; the graph_triangles tiny-data lesson)
-_SEMDEDUP_LOCAL_GATE = 20_000
+_SEMDEDUP_OUT = pa.schema([("vec_id", pa.int64()), ("cluster", pa.int64()),
+                           ("is_dup", pa.int64())])
 
 
 def _dup_flags(mat: np.ndarray, tau: float) -> np.ndarray:
@@ -368,29 +373,18 @@ def semdedup(
     ``n_clusters`` is the knob and must grow with the corpus). The
     kernel is chunked so peak memory is O(c * chunk * 8B), not O(c^2).
     """
-    sample = _lowest_ids(embs, train_sample)
-    train = _unit(np.array(sample["embedding"].tolist(), dtype=np.float64))
-    cent = train_centroids(train, n_clusters, 10)
-
-    if embs.count() < _SEMDEDUP_LOCAL_GATE:
-        # driver-local fast path: one assignment matmul + the same
-        # per-cluster chunked kernel, skipping the cluster shuffle
-        import pandas as _pd
-
-        refs = embs.to_arrow_refs()
-        tabs = [t for t in ray.get(refs) if t.num_rows > 0]
-        if not tabs:
-            return rd.from_arrow(pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "cluster": pa.array([], pa.int64()),
-                 "is_dup": pa.array([], pa.int64())}))
-        full = pa.concat_tables(
-            [t.select(["vec_id", "embedding"]) for t in tabs]
-        ).combine_chunks()
+    full = local_table(embs, "semdedup", _EMB)
+    if full is not None:
+        # driver-local fast path: the same lowest-vec_id training sample,
+        # one assignment matmul + the same per-cluster chunked kernel,
+        # skipping the cluster shuffle
+        if not full.num_rows:
+            return rd.from_arrow(_SEMDEDUP_OUT.empty_table())
         ids = np.asarray(full.column("vec_id"), dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         mat = _unit(_to_matrix(full))[order]
         ids = ids[order]
+        cent = train_centroids(mat[:train_sample], n_clusters, 10)
         asg = np.argmax(mat @ cent.T, axis=1).astype(np.int64)
         dup = np.zeros(len(ids), dtype=bool)
         for c in np.unique(asg):
@@ -400,7 +394,9 @@ def semdedup(
                         "is_dup": dup.astype(np.int64)})
         return rd.from_arrow(out)
 
-    cref = ray.put(cent)
+    sample = _lowest_ids(embs, train_sample)
+    train = _unit(np.array(sample["embedding"].tolist(), dtype=np.float64))
+    cref = ray.put(train_centroids(train, n_clusters, 10))
 
     def assign_batch(batch: pa.Table) -> pa.Table:
         # the ORIGINAL embedding column passes through zero-copy — the
@@ -418,13 +414,8 @@ def semdedup(
     assigned = embs.map_batches(assign_batch, batch_format="pyarrow")
 
     def cluster_dups(t: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {"vec_id": pa.array([], pa.int64()),
-             "cluster": pa.array([], pa.int64()),
-             "is_dup": pa.array([], pa.int64())}
-        )
         if t.num_rows == 0 or "vec_id" not in t.column_names:
-            return empty
+            return _SEMDEDUP_OUT.empty_table()
         ids = np.asarray(t.column("vec_id"), dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         mat = _unit(_to_matrix(t))[order]
@@ -447,10 +438,9 @@ def semdedup(
 
 
 _QUANT_LEVELS = 254  # codes 0..254 (int8-representable with a null spare)
-# below this many vectors both passes run driver-local on one table
-# (identical kernels, bit-equal results) instead of paying two dataset
-# executions of fixed overhead
-_QUANT_LOCAL_GATE = 50_000
+_QUANT_OUT = pa.schema([(c, pa.int64()) for c in
+                        ("vec_id", "n_dims", "code_sum", "code_min",
+                         "code_max")])
 
 
 def embedding_quantize(ds: rd.Dataset) -> rd.Dataset:
@@ -476,20 +466,13 @@ def embedding_quantize(ds: rd.Dataset) -> rd.Dataset:
     columnwise (dim, min, max) partials, O(blocks*d) driver merge —
     bounded); pass 2 broadcasts the two 64-double vectors in the task
     closure and encodes each block with one vectorized matrix pass.
-    Below ``_QUANT_LOCAL_GATE`` both passes run driver-local on one
-    table through the identical kernels.
+    Below its ``LOCAL_ROW_LIMITS`` entry both passes run driver-local on
+    one table through the identical kernels (bit-equal results).
     """
-    import ray
-
     def enc_of(mn: np.ndarray, rng: np.ndarray):
         def enc(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
-                return pa.Table.from_pydict(
-                    {"vec_id": pa.array([], pa.int64()),
-                     "n_dims": pa.array([], pa.int64()),
-                     "code_sum": pa.array([], pa.int64()),
-                     "code_min": pa.array([], pa.int64()),
-                     "code_max": pa.array([], pa.int64())})
+                return _QUANT_OUT.empty_table()
             mat = _to_matrix(batch)
             code = np.clip(
                 np.floor((mat - mn) * float(_QUANT_LEVELS) / rng),
@@ -512,16 +495,10 @@ def embedding_quantize(ds: rd.Dataset) -> rd.Dataset:
         rng[degen] = 1.0  # (v - mn) is 0 on degenerate dims -> code 0
         return mn, rng
 
-    if ds.count() < _QUANT_LOCAL_GATE:
-        refs = ds.to_arrow_refs()
-        tabs = [t for t in ray.get(refs) if t.num_rows > 0]
-        if not tabs:
-            return rd.from_arrow(enc_of(np.zeros(0), np.ones(0))(
-                pa.table({"vec_id": pa.array([], pa.int64()),
-                          "embedding": pa.array([], pa.list_(pa.float32()))})))
-        full = pa.concat_tables(
-            [t.select(["vec_id", "embedding"]) for t in tabs]
-        ).combine_chunks()
+    full = local_table(ds, "quantize", _EMB)
+    if full is not None:
+        if not full.num_rows:
+            return rd.from_arrow(_QUANT_OUT.empty_table())
         mat = _to_matrix(full)
         mn = mat.min(axis=0)
         mx = mat.max(axis=0)
@@ -538,12 +515,6 @@ def embedding_quantize(ds: rd.Dataset) -> rd.Dataset:
 # reduction before IVF or semantic dedup): sample covariance of the
 # embedding matrix by mergeable per-block moment partials, eigendecomposed
 # on the driver (d x d is tiny), projection broadcast back as a closure.
-
-# below this many vectors the moment accumulation runs driver-local on one
-# concatenated table (the graph_triangles fixed-overhead lesson); the
-# result is the same moment rows, just without the grouped-sum exchange
-_PCA_LOCAL_GATE = 50_000
-
 
 def _cov_moment_rows(batch: pa.Table) -> pa.Table:
     """One block's second-moment partial as SUMMABLE rows: (dim_i, dim_j,
@@ -593,22 +564,14 @@ def _cov_from_moments(mom: "pd.DataFrame"):
 
 def _pca_moments(ds: rd.Dataset) -> "pd.DataFrame":
     """Summed moment rows for the dataset: driver-local single partial
-    below the gate, per-block partials + ONE bucketed grouped sum above
-    it (never a driver structure beyond O(d^2) rows either way)."""
-    import ray
-
+    below its ``LOCAL_ROW_LIMITS`` entry, per-block partials + ONE
+    bucketed grouped sum above it (never a driver structure beyond
+    O(d^2) rows either way)."""
     from ..stages.partial_agg import hash_bucket_sum
 
-    if ds.count() < _PCA_LOCAL_GATE:
-        tabs = [t.select(["embedding"]) for t in ray.get(ds.to_arrow_refs())
-                if t.num_rows > 0]
-        if not tabs:
-            return _cov_moment_rows(
-                pa.table({"embedding": pa.array([], pa.list_(pa.float32()))})
-            ).to_pandas()
-        return _cov_moment_rows(
-            pa.concat_tables(tabs).combine_chunks()
-        ).to_pandas()
+    full = local_table(ds, "pca", pa.schema([_EMB.field("embedding")]))
+    if full is not None:
+        return _cov_moment_rows(full).to_pandas()
     summed = hash_bucket_sum(
         ds.map_batches(_cov_moment_rows, batch_format="pyarrow"),
         keys=["dim_i", "dim_j"], sum_cols=["v"], n_buckets=16,

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.partial_agg import contiguous_array, split_ws
+from ..stages.partial_agg import contiguous_array, local_table, split_ws
 
 __all__ = [
     "token_stats_batch",
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _WS_RE = re.compile(r"\s+")
+
+# the (doc_id, text) projection the gated document operators pull
+# driver-local below their LOCAL_ROW_LIMITS entry
+_DOC_TEXT = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
 
 # Fixed stopword list for the quality scorer — must match the SQL oracle's
 # IN-list verbatim.
@@ -401,11 +405,6 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
 # invisible at 4 dp
 _NLL_DECIMALS = 4
 
-# below this many documents the whole model trains driver-local on one
-# Arrow table (identical kernels; see the fast-path comment in
-# bigram_nll) instead of paying five dataset executions
-_NLL_LOCAL_GATE_DOCS = 50_000
-
 
 def bigram_nll(docs):
     """Bigram language-model quality scoring — the KenLM-style perplexity
@@ -495,23 +494,12 @@ def bigram_nll(docs):
     # table; counts are the same integers, terms the same float64
     # log2 values, and the per-doc mean lands on the same 4-dp grid the
     # oracle compares (association noise ~1e-13 on either path).
-    if docs.count() < _NLL_LOCAL_GATE_DOCS:
-        import ray
-
+    full = local_table(docs, "nll", _DOC_TEXT)
+    if full is not None:
         import ray.data as rd
 
         from ..stages.partial_agg import from_pandas
 
-        refs = docs.to_arrow_refs()
-        tabs = [t for t in ray.get(refs) if t.num_rows > 0]
-        if not tabs:
-            return rd.from_arrow(pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "n_bigrams": pa.array([], pa.int64()),
-                 "nll_bits": pa.array([], pa.float64())}))
-        full = pa.concat_tables(
-            [t.select(["doc_id", "text"]) for t in tabs]
-        ).combine_chunks()
         bgt = bigrams_of(full).to_pandas()
         v = len(pc.unique(uni_of(full).column("tok")))
         if not len(bgt):
@@ -752,10 +740,6 @@ def gopher_rules_batch(batch: pa.Table) -> pa.Table:
 
 _DSIR_BUCKETS = 256
 _DSIR_DECIMALS = 4
-# below this many documents the estimate+score runs driver-local on one
-# table (identical kernels, bit-equal results) instead of paying two
-# dataset executions of fixed overhead
-_DSIR_LOCAL_GATE_DOCS = 50_000
 
 
 def _token_buckets(batch: pa.Table):
@@ -813,15 +797,13 @@ def dsir_logratio(docs, target_lang: str = "en"):
     log-ratio vector in the task closure and scores each block locally
     (packed (row, bucket) np.unique + one bincount dot). No shuffle ever
     touches a token row; skew-free by construction (buckets are md5
-    hashes). Below ``_DSIR_LOCAL_GATE_DOCS`` the whole estimate+score
+    hashes). Below its ``LOCAL_ROW_LIMITS`` entry the whole estimate+score
     runs driver-local on one table through the IDENTICAL kernels (the
     graph_triangles fixed-overhead lesson) — bit-equal by construction:
     bucket counts are the same integers either way, and a document's
     score sums its sorted (bucket, count) terms identically in any
     batching.
     """
-    import ray
-
     import ray.data as rd
 
     from ..stages.partial_agg import hash_bucket_sum, to_pandas_typed
@@ -849,21 +831,11 @@ def dsir_logratio(docs, target_lang: str = "en"):
              "n_raw": pa.array(n_raw[nz]),
              "n_tgt": pa.array(n_tgt[nz])})
 
-    local_tab = None
-    if docs.count() < _DSIR_LOCAL_GATE_DOCS:
-        refs = docs.to_arrow_refs()
-        tabs = [t for t in ray.get(refs) if t.num_rows > 0]
-        local_tab = (
-            pa.concat_tables(
-                [t.select(["doc_id", "text", "lang"]) for t in tabs]
-            ).combine_chunks()
-            if tabs
-            else pa.table({"doc_id": pa.array([], pa.int64()),
-                           "text": pa.array([], pa.string()),
-                           "lang": pa.array([], pa.string())})
-        )
-        part = counts_of(local_tab).to_pandas()
-        model = part  # counts_of emits each bucket once — already grouped
+    local_tab = local_table(
+        docs, "dsir", _DOC_TEXT.append(pa.field("lang", pa.string())))
+    if local_tab is not None:
+        # counts_of emits each bucket once — already grouped
+        model = counts_of(local_tab).to_pandas()
     else:
         model = to_pandas_typed(
             hash_bucket_sum(
@@ -912,7 +884,6 @@ def dsir_logratio(docs, target_lang: str = "en"):
 _PMI_DECIMALS = 4
 _PMI_MIN_COUNT = 5
 _PMI_TOPK = 50
-_PMI_LOCAL_GATE_DOCS = 50_000
 
 
 def _pmi_partial(t: pa.Table) -> pa.Table:
@@ -995,17 +966,9 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
         })
         return _pmi_rank_cut(out, k).reset_index(drop=True)
 
-    if docs.count() < _PMI_LOCAL_GATE_DOCS:
-        import ray
-
-        refs = docs.to_arrow_refs()
-        tabs = [t.select(["text"]) for t in ray.get(refs) if t.num_rows > 0]
-        if not tabs:
-            return empty
-        cxy = _pmi_partial(
-            pa.concat_tables(tabs).combine_chunks()
-        ).to_pandas()
-        return finish_local(cxy)
+    full = local_table(docs, "pmi", pa.schema([("text", pa.string())]))
+    if full is not None:
+        return finish_local(_pmi_partial(full).to_pandas())
 
     from ..pipelines.joins import bucket_hash_join
 
@@ -1066,7 +1029,6 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
 # --- CCNet-style perplexity buckets ----------------------------------------
 
 _PPL_BUCKETS = 3
-_PPL_LOCAL_GATE_DOCS = 50_000
 
 
 def _ntile_of(ranks: np.ndarray, n_g: int, k: int) -> np.ndarray:
@@ -1131,10 +1093,16 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
                 .astype({"doc_id": "int64", "n_bigrams": "int64",
                          "ppl_bucket": "int64"}))
 
-    if docs.count() < _PPL_LOCAL_GATE_DOCS:
-        ndf = nll.to_pandas()
-        ldf = langs.to_pandas()
-        return finish_local(ndf.merge(ldf, on="doc_id", how="inner"))
+    # gated on ``langs`` (one row per doc, so the same n as ``docs``):
+    # the local path merges its rows with the typed nll frame
+    ltab = local_table(langs, "ppl", pa.schema(
+        [("doc_id", pa.int64()), ("lang", pa.string())]))
+    if ltab is not None:
+        from ..stages.partial_agg import to_pandas_typed
+
+        ndf = to_pandas_typed(nll, {"doc_id": "int64", "n_bigrams": "int64",
+                                    "nll_bits": "float64"})
+        return finish_local(ndf.merge(ltab.to_pandas(), on="doc_id"))
 
     from ..pipelines.joins import bucket_hash_join
 
@@ -1232,7 +1200,6 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
 # --- TF-IDF keywords -------------------------------------------------------
 
 _TFIDF_DECIMALS = 4
-_TFIDF_LOCAL_GATE_DOCS = 50_000
 
 
 def tfidf_topk(docs, n: int = 3):
@@ -1277,15 +1244,12 @@ def tfidf_topk(docs, n: int = 3):
              "tf": pa.array(g["size"].to_numpy(np.int64))}
         )
 
-    n_docs = float(docs.count())
-
     # below-gate driver-local fast path (the graph_triangles lesson:
     # four dataset executions on a tiny corpus is pure fixed overhead).
     # IDENTICAL kernels: tf_of on one concatenated table, pandas df
     # count, the same rounded score and (score desc, tok) rank cut.
-    if n_docs < _TFIDF_LOCAL_GATE_DOCS:
-        import ray
-
+    full = local_table(docs, "tfidf", _DOC_TEXT)
+    if full is not None:
         import ray.data as rd
 
         from ..stages.partial_agg import from_pandas as _fp
@@ -1298,13 +1262,8 @@ def tfidf_topk(docs, n: int = 3):
             "score": pd.Series([], dtype="float64"),
             "rank": pd.Series([], dtype="int64"),
         })
-        tabs = [t.select(["doc_id", "text"]) for t in
-                ray.get(docs.to_arrow_refs()) if t.num_rows > 0]
-        if not tabs:
-            return rd.from_arrow(_fp(empty))
-        tfl = tf_of(
-            pa.concat_tables(tabs).combine_chunks()
-        ).to_pandas()
+        n_docs = float(full.num_rows)
+        tfl = tf_of(full).to_pandas()
         if not len(tfl):
             return rd.from_arrow(_fp(empty))
         dfl = tfl.groupby("tok")["doc_id"].size()
@@ -1326,6 +1285,7 @@ def tfidf_topk(docs, n: int = 3):
              "rank": "int64"})
         return rd.from_arrow(_fp(out.reset_index(drop=True)))
 
+    n_docs = float(docs.count())
     # materialized: df count + join both read the tf rows
     tf = docs.map_batches(tf_of, batch_format="pyarrow").materialize()
     dfs = hash_bucket_sum(tf.select_columns(["tok"]), ["tok"], [],

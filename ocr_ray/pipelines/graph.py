@@ -52,7 +52,16 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
-from ..stages.partial_agg import add_hash_bucket, hash_bucket_sum, pin_schema
+from ..stages.partial_agg import (
+    add_hash_bucket,
+    hash_bucket_sum,
+    local_table,
+    pin_schema,
+)
+
+# the undirected (lo, hi) edge list the gated graph operators pull
+# driver-local below their LOCAL_ROW_LIMITS entry
+_EDGES = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
 
 __all__ = [
     "trade_edges",
@@ -262,14 +271,6 @@ def copart_edges(sf_dir: str) -> rd.Dataset:
 _PAIR_BASE = np.int64(1) << np.int64(32)
 _PAIR_MASK = _PAIR_BASE - np.int64(1)
 
-# driver fast-path gate for triangle counting: below this many DISTINCT
-# edges the whole count runs as one numpy pass on the driver. Memory
-# bound: degree orientation caps total wedges at O(m^1.5), so 20k edges
-# -> <= ~2.8M packed int64 wedges (~23 MB transient) — the same
-# bounded-driver-pull convention as the minhash/semi-join gates.
-_TRIANGLE_DRIVER_GATE = 20_000
-
-
 def _wedge_packed(
     src: np.ndarray, dst: np.ndarray, ddeg: np.ndarray
 ) -> np.ndarray:
@@ -437,9 +438,7 @@ def triangle_count_copart(sf_dir: str) -> pd.DataFrame:
     return triangle_count_edges(compact_nonempty(copart_edges(sf_dir)))
 
 
-def triangle_count_edges(
-    undirected: rd.Dataset, driver_gate: int = _TRIANGLE_DRIVER_GATE
-) -> pd.DataFrame:
+def triangle_count_edges(undirected: rd.Dataset) -> pd.DataFrame:
     """Triangle count of a distinct (lo < hi) edge list via the
     DEGREE-ORIENTED wedge plan (VERDICT r4 item 3): edges are oriented
     src -> dst by the total order (degree, id), wedges come from ONE
@@ -465,11 +464,12 @@ def triangle_count_edges(
     (consumed by the degree count, the orient attach, and the closing
     semi join).
 
-    ADAPTIVE: at or below ``driver_gate`` distinct edges (known O(1)
-    from the materialized input's metadata) the whole count collapses to
-    ONE driver-local numpy pass (:func:`_count_triangles_numpy` — the
-    identical orientation + wedge kernel, wedge memory bounded at
-    O(m^1.5) ~ 23 MB at the gate) instead of paying 3 distributed
+    ADAPTIVE: below its ``LOCAL_ROW_LIMITS`` entry of distinct edges
+    (counted O(1) from the materialized input's metadata) the whole
+    count collapses to ONE driver-local numpy pass
+    (:func:`_count_triangles_numpy` — the identical orientation + wedge
+    kernel; degree orientation caps wedges at O(m^1.5), ~2.8M packed
+    int64 wedges or ~23 MB at 20k edges) instead of paying 3 distributed
     exchanges for a few thousand rows. Above the gate the distributed
     plan below runs unchanged (tools/skew_demo_triangles.py's 2M-edge
     hub demo exercises it)."""
@@ -480,15 +480,11 @@ def triangle_count_edges(
     )
     from .joins import _BROADCAST_KEY_LIMIT, semi_anti_join
 
-    n_edges = undirected.count()
-    if n_edges <= driver_gate:
-        if n_edges == 0:
-            n = 0  # Ray 2.49 to_pandas() of an empty ds is column-less
-        else:
-            df = undirected.to_pandas()
-            n = _count_triangles_numpy(
-                df["lo"].to_numpy(np.int64), df["hi"].to_numpy(np.int64)
-            )
+    full = local_table(undirected, "triangles", _EDGES)
+    if full is not None:
+        n = _count_triangles_numpy(
+            full.column("lo").to_numpy(), full.column("hi").to_numpy()
+        )
         return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
     # kept LAZY on purpose: orient_edges_by_degree's contract is that its
@@ -525,7 +521,7 @@ def triangle_count_edges(
     # path streams the probe side exactly once: keep wedges lazy and skip
     # a whole materialize barrier. The gate condition is the closing key
     # count == the oriented edge count, known cheaply here.
-    if n_edges > _BROADCAST_KEY_LIMIT:
+    if undirected.count() > _BROADCAST_KEY_LIMIT:
         wedges = compact_nonempty(wedges)
     ekeys = edges.map_batches(
         lambda t: pa.table(
@@ -545,19 +541,10 @@ def triangle_count_edges(
 
 BFS_SEED = 0
 BFS_MAX_HOPS = 3
-# below this many edges the frontier expansion runs driver-local on the
-# pulled (lo, hi) arrays (the triangle_count gate class: the sf0.1
-# co-part graph is ~3k edges and three distributed semi/anti rounds are
-# pure fixed overhead there)
-_BFS_DRIVER_GATE = 20_000
 
 
 def bfs_hops(
-    edges: rd.Dataset,
-    seed: int = BFS_SEED,
-    k: int = BFS_MAX_HOPS,
-    *,
-    force_distributed: bool = False,
+    edges: rd.Dataset, seed: int = BFS_SEED, k: int = BFS_MAX_HOPS
 ) -> pd.DataFrame:
     """Hop distance of every node within ``k`` hops of ``seed`` over an
     undirected (lo, hi) edge list — the frontier-expansion member of
@@ -573,22 +560,19 @@ def bfs_hops(
     drops known nodes. Frontier and visited STAY Datasets; the driver
     sees only the per-hop row counts and the final (node, dist) result
     (which IS the query output). k is a constant, so the plan is k
-    sequential rounds — the same unrolled shape the SQL twin states."""
+    sequential rounds — the same unrolled shape the SQL twin states.
+    Below its ``LOCAL_ROW_LIMITS`` entry of edges the same frontier
+    expansion runs driver-local on the pulled (lo, hi) arrays (the sf0.1
+    co-part graph is ~3k edges, where three distributed semi/anti rounds
+    are pure fixed overhead)."""
     from .joins import semi_anti_join
 
     edges = edges.materialize()
 
-    if edges.count() < _BFS_DRIVER_GATE and not force_distributed:
-        import ray
-
-        tabs = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows > 0]
-        if tabs:
-            full = pa.concat_tables(
-                [t.select(["lo", "hi"]) for t in tabs]).combine_chunks()
-            lo = full.column("lo").to_numpy(zero_copy_only=False)
-            hi = full.column("hi").to_numpy(zero_copy_only=False)
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
+    full = local_table(edges, "bfs", _EDGES)
+    if full is not None:
+        lo = full.column("lo").to_numpy()
+        hi = full.column("hi").to_numpy()
         rows_n = [np.array([seed], dtype=np.int64)]
         rows_d = [np.array([0], dtype=np.int64)]
         visited = np.array([seed], dtype=np.int64)
@@ -653,7 +637,6 @@ def bfs_hops(
 # --- label propagation (communities) ---------------------------------------
 
 LP_ROUNDS = 3
-_LP_DRIVER_GATE = 20_000  # edges; the triangle/BFS gate class
 
 
 def _lp_round_local(lo: np.ndarray, hi: np.ndarray,
@@ -677,17 +660,14 @@ def _lp_round_local(lo: np.ndarray, hi: np.ndarray,
     du, lu = u // base, u % base
     # argmax per dst with (count desc, label asc): lexsort then first
     order = np.lexsort((lu, -c, du))
-    first = np.r_[True, du[order][1:] != du[order][:-1]]
+    first = np.diff(du[order], prepend=-1) != 0  # du >= 0: row 0 is first
     out = labels.copy()
     out[du[order][first]] = nodes[lu[order][first]]
     return out
 
 
 def label_propagation(
-    edges: rd.Dataset,
-    rounds: int = LP_ROUNDS,
-    *,
-    force_distributed: bool = False,
+    edges: rd.Dataset, rounds: int = LP_ROUNDS
 ) -> pd.DataFrame:
     """Synchronous label-propagation communities (Raghavan et al. 2007,
     deterministic variant) over an undirected (lo, hi) edge list:
@@ -709,17 +689,10 @@ def label_propagation(
 
     edges = edges.materialize()
 
-    if edges.count() < _LP_DRIVER_GATE and not force_distributed:
-        import ray
-
-        tabs = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows > 0]
-        if not tabs:
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "community": pd.Series([], dtype="int64")})
-        full = pa.concat_tables(
-            [t.select(["lo", "hi"]) for t in tabs]).combine_chunks()
-        lo = full.column("lo").to_numpy(zero_copy_only=False)
-        hi = full.column("hi").to_numpy(zero_copy_only=False)
+    full = local_table(edges, "label_propagation", _EDGES)
+    if full is not None:
+        lo = full.column("lo").to_numpy()
+        hi = full.column("hi").to_numpy()
         nodes = np.unique(np.concatenate([lo, hi]))
         labels = nodes.copy()
         for _ in range(rounds):

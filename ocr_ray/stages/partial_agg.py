@@ -9,6 +9,8 @@ final combine over partials is exact.
 
 from __future__ import annotations
 
+import logging
+
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -18,7 +20,32 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 __all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
            "grouped_topn", "pin_schema", "from_pandas", "to_pandas_typed",
-           "compact_nonempty", "contiguous_array", "split_ws"]
+           "compact_nonempty", "contiguous_array", "split_ws",
+           "LOCAL_ROW_LIMITS", "local_table"]
+
+# Row counts below which each gated operator runs its driver-local kernel
+# on one Arrow table instead of its distributed plan: on inputs this small
+# the distributed plan's dataset executions and exchanges are pure fixed
+# overhead. The graph limits count edges, SemDeDup's vectors, BPE's
+# distinct words, the rest input rows. Tests force the distributed plan
+# by setting a limit to 0.
+LOCAL_ROW_LIMITS = {
+    "triangles": 20_000,
+    "bfs": 20_000,
+    "label_propagation": 20_000,
+    "semdedup": 20_000,
+    "nll": 50_000,
+    "dsir": 50_000,
+    "pmi": 50_000,
+    "ppl": 50_000,
+    "tfidf": 50_000,
+    "snm": 50_000,
+    "quantize": 50_000,
+    "pca": 50_000,
+    "bpe": 200_000,
+}
+
+_gate_log = logging.getLogger("ocr_ray.gates")
 
 
 def contiguous_array(col) -> pa.Array:
@@ -104,6 +131,32 @@ def compact_nonempty(ds: "rd.Dataset") -> "rd.Dataset":
     if not n_empty or not refs:
         return mat
     return rd.from_arrow_refs(refs)
+
+
+def local_table(ds: "rd.Dataset", op: str, schema: pa.Schema):
+    """The local-vs-distributed decision of gated operator ``op``.
+
+    Counts ``ds`` once. At or above ``LOCAL_ROW_LIMITS[op]`` rows returns
+    ``None`` (the caller runs its distributed plan); below it returns the
+    rows as ONE contiguous Arrow table of ``schema.names``, or
+    ``schema.empty_table()`` when no block holds rows, so every local
+    kernel also sees its columns on a 0-row input. Each decision is one
+    DEBUG record ``(op, n, limit, path)`` on the ``ocr_ray.gates``
+    logger."""
+    import ray
+
+    n = ds.count()
+    limit = LOCAL_ROW_LIMITS[op]
+    local = n < limit
+    _gate_log.debug("%s n=%d limit=%d path=%s", op, n, limit,
+                    "local" if local else "distributed")
+    if not local:
+        return None
+    tabs = [t.select(schema.names) for t in ray.get(ds.to_arrow_refs())
+            if t.num_rows > 0]
+    if not tabs:
+        return schema.empty_table()
+    return pa.concat_tables(tabs).combine_chunks()
 
 
 def to_pandas_typed(ds: "rd.Dataset", cols: dict) -> pd.DataFrame:

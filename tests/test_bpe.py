@@ -8,6 +8,7 @@ import collections
 import pyarrow as pa
 
 from ocr_ray.functions.bpe import bpe_merges
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
 
 def _replay(texts, k):
@@ -148,13 +149,13 @@ def test_bpe_encode_stats_matches_replay(ray_session):
 
 
 def test_bpe_distributed_path_matches_local(ray_session, monkeypatch):
-    """Forcing the word gate to 0 must give the identical merge list
+    """Forcing the word limit to 0 must give the identical merge list
     via the full distributed rounds (bucketed sums + block top-1)."""
     import ocr_ray.functions.bpe as B
 
     texts = ["low lower lowest low low", "new newer newest new",
              "wider wide widest", "low low lower"]
     local, _ = _run(ray_session, texts, 5)
-    monkeypatch.setattr(B, "_BPE_LOCAL_GATE_WORDS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "bpe", 0)
     dist, got = _run(ray_session, texts, 5)
     assert dist == local == _replay(texts, 5)

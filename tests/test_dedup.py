@@ -4,6 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
+
 
 def _docs_with_dups():
     import pyarrow as pa
@@ -391,34 +393,6 @@ def test_embedding_near_dup_row_path_matches_blob(ray_session, monkeypatch):
     np.testing.assert_allclose(got["cosine"], want["cosine"], atol=2e-6)
 
 
-def test_fast_hash_flag_minhash_pairs(ray_session, monkeypatch):
-    """OCR_RAY_FAST_HASH swaps per-shingle md5 for a vectorized token-hash
-    polynomial (≈6x on 1000-word docs). Hash values differ, but both are
-    uniform, so the LSH candidates and the verified pair set come out
-    identical on the test corpus — and the verify step guarantees every
-    emitted pair truly passes the Jaccard threshold either way."""
-    import ray.data as rd
-
-    from ocr_ray.functions import dedup
-
-    docs = rd.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
-    )
-    want = dedup.minhash_pairs(docs, threshold=0.5).to_pandas()
-    monkeypatch.setenv("OCR_RAY_FAST_HASH", "1")
-    got = dedup.minhash_pairs(docs, threshold=0.5).to_pandas()
-
-    def pairs(df):
-        return set(map(tuple, df[["doc_a", "doc_b"]].values.tolist()))
-
-    assert pairs(want) == pairs(got)
-    # jaccard is computed over the hashed shingle sets; identical sets of
-    # shingles -> identical jaccard regardless of hash space
-    want = want.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    got = got.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    np.testing.assert_allclose(got["jaccard"], want["jaccard"], atol=1e-9)
-
-
 def _dup_spans_brute(df: pd.DataFrame, window: int) -> pd.DataFrame:
     """Nested-loop reference: group windows by CONTENT, union intervals."""
     from collections import Counter, defaultdict
@@ -572,30 +546,6 @@ def test_dup_intervals_coverage_on_corpus(ray_session):
     assert (g.max() == g.count()).all()
 
 
-def test_fast_hash_flag_dup_spans(ray_session, monkeypatch):
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from ocr_ray.functions.dedup import dup_intervals, dup_spans
-
-    df = pd.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                         columns=["doc_id", "text"])
-    ds = rd.from_arrow(pa.Table.from_pandas(df))
-    want = (dup_spans(ds).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    want_iv = (dup_intervals(ds).to_pandas()
-               .sort_values(["doc_id", "span_idx"]).reset_index(drop=True))
-    monkeypatch.setenv("OCR_RAY_FAST_HASH", "1")
-    got = (dup_spans(ds).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    got_iv = (dup_intervals(ds).to_pandas()
-              .sort_values(["doc_id", "span_idx"]).reset_index(drop=True))
-    # different hash space, same content-equality duplicate decisions
-    pd.testing.assert_frame_equal(got, want)
-    pd.testing.assert_frame_equal(got_iv, want_iv)
-
-
 # --- sorted-neighborhood (SNM) -------------------------------------------
 
 
@@ -670,7 +620,7 @@ def test_snm_pairs_matches_brute_force(ray_session):
     pd.testing.assert_frame_equal(out.reset_index(drop=True), exp)
 
 
-def test_snm_pairs_distributed_matches_local(ray_session):
+def test_snm_pairs_distributed_matches_local(ray_session, monkeypatch):
     import ray.data as rd
 
     from ocr_ray.functions.dedup import snm_pairs
@@ -678,13 +628,14 @@ def test_snm_pairs_distributed_matches_local(ray_session):
     tbl = _snm_corpus(n=60, seed=11)
     ds = rd.from_arrow(tbl)
     loc = snm_pairs(ds)
-    dist = snm_pairs(ds, force_distributed=True)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "snm", 0)
+    dist = snm_pairs(ds)
     pd.testing.assert_frame_equal(
         dist.reset_index(drop=True), loc.reset_index(drop=True)
     )
 
 
-def test_snm_pairs_distributed_tiny_blocks(ray_session):
+def test_snm_pairs_distributed_tiny_blocks(ray_session, monkeypatch):
     """Blocks smaller than the window: cross-block pairs span >2 sorted
     blocks, exercising the boundary-set sufficiency argument."""
     import ray.data as rd
@@ -694,7 +645,8 @@ def test_snm_pairs_distributed_tiny_blocks(ray_session):
     tbl = _snm_corpus(n=8, seed=3)  # ~10 docs over 4 blocks
     ds = rd.from_arrow(tbl)
     loc = snm_pairs(ds)
-    dist = snm_pairs(ds, force_distributed=True)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "snm", 0)
+    dist = snm_pairs(ds)
     pd.testing.assert_frame_equal(
         dist.reset_index(drop=True), loc.reset_index(drop=True)
     )

@@ -8,6 +8,8 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -86,7 +88,7 @@ def test_triangle_count_copart(ray_session):
     assert (e["lo"] < e["hi"]).all()
 
 
-def test_triangle_count_edges_direct(ray_session):
+def test_triangle_count_edges_direct(ray_session, monkeypatch):
     """The wedge kernel on raw edge lists: empty graph (exercises the
     empty-degree-map broadcast path) and a seeded random graph with mixed
     out-degree segment lengths, vs brute-force set intersection."""
@@ -100,12 +102,11 @@ def test_triangle_count_edges_direct(ray_session):
                   "hi": pa.array([], pa.int64())})
     ).materialize()
     assert int(triangle_count_edges(empty)["n_triangles"].iloc[0]) == 0
-    # driver_gate=-1 forces the distributed plan on the empty list, which
+    # a 0 limit forces the distributed plan on the empty list, which
     # still exercises the empty-degree-map broadcast path in orient
-    assert (
-        int(triangle_count_edges(empty, driver_gate=-1)["n_triangles"].iloc[0])
-        == 0
-    )
+    with monkeypatch.context() as m:
+        m.setitem(LOCAL_ROW_LIMITS, "triangles", 0)
+        assert int(triangle_count_edges(empty)["n_triangles"].iloc[0]) == 0
 
     rng = np.random.RandomState(7)
     u = rng.randint(0, 40, size=300).astype(np.int64)
@@ -123,15 +124,11 @@ def test_triangle_count_edges_direct(ray_session):
     edges = rd.from_arrow(
         pa.table({"lo": pa.array(lo), "hi": pa.array(hi)})
     ).repartition(4).materialize()
-    # driver fast path (default gate) AND the distributed wedge plan
-    # (forced with driver_gate=0) must both match brute force
+    # driver fast path (default limit) AND the distributed wedge plan
+    # (forced with a 0 limit) must both match brute force
     assert int(triangle_count_edges(edges)["n_triangles"].iloc[0]) == n_tri
-    assert (
-        int(
-            triangle_count_edges(edges, driver_gate=0)["n_triangles"].iloc[0]
-        )
-        == n_tri
-    )
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "triangles", 0)
+    assert int(triangle_count_edges(edges)["n_triangles"].iloc[0]) == n_tri
 
 
 # --- BFS -------------------------------------------------------------------
@@ -157,7 +154,7 @@ def _bfs_brute(edges, seed, k):
     return sorted(dist.items())
 
 
-def test_bfs_hops_matches_brute_and_distributed(ray_session):
+def test_bfs_hops_matches_brute_and_distributed(ray_session, monkeypatch):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -183,7 +180,8 @@ def test_bfs_hops_matches_brute_and_distributed(ray_session):
         columns=["node", "dist"],
     ).astype("int64")
     loc = bfs_hops(ds, seed=0, k=3)
-    dist = bfs_hops(ds, seed=0, k=3, force_distributed=True)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "bfs", 0)
+    dist = bfs_hops(ds, seed=0, k=3)
     pd.testing.assert_frame_equal(loc, exp)
     pd.testing.assert_frame_equal(dist.reset_index(drop=True), exp)
 
@@ -225,7 +223,8 @@ def _lp_brute(edges, rounds):
     return sorted(lab.items())
 
 
-def test_label_propagation_matches_brute_and_distributed(ray_session):
+def test_label_propagation_matches_brute_and_distributed(ray_session,
+                                                         monkeypatch):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -254,7 +253,8 @@ def test_label_propagation_matches_brute_and_distributed(ray_session):
     exp = pd.DataFrame(_lp_brute(edges, 3), columns=["node", "community"]
                        ).astype("int64")
     loc = label_propagation(ds, rounds=3)
-    dist = label_propagation(ds, rounds=3, force_distributed=True)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "label_propagation", 0)
+    dist = label_propagation(ds, rounds=3)
     pd.testing.assert_frame_equal(loc, exp)
     pd.testing.assert_frame_equal(dist.reset_index(drop=True), exp)
     # the two cliques must collapse to few labels

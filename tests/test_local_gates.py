@@ -1,0 +1,105 @@
+"""Every gated operator at its default LOCAL_ROW_LIMITS entry on a 0-row
+input read from Parquet: the driver-local kernel gets a typed 0-row
+table and must return the operator's empty answer."""
+
+import logging
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
+
+_TABLES = {
+    "documents": pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
+                            ("lang", pa.string())]),
+    "embeddings": pa.schema([("vec_id", pa.int64()),
+                             ("embedding", pa.list_(pa.float32()))]),
+    "edges": pa.schema([("lo", pa.int64()), ("hi", pa.int64())]),
+}
+
+
+def _run(op, read):
+    from ocr_ray.functions import bpe, dedup, similarity, textstats
+    from ocr_ray.pipelines import graph
+
+    docs = read("documents", ["doc_id", "text"])
+    if op == "triangles":
+        return graph.triangle_count_edges(read("edges").materialize())
+    if op == "bfs":
+        return graph.bfs_hops(read("edges"), seed=0)
+    if op == "label_propagation":
+        return graph.label_propagation(read("edges"))
+    if op == "semdedup":
+        return similarity.semdedup(read("embeddings"))
+    if op == "quantize":
+        return similarity.embedding_quantize(read("embeddings"))
+    if op == "pca":
+        return similarity.pca_project(read("embeddings"))
+    if op == "nll":
+        return textstats.bigram_nll(docs)
+    if op == "dsir":
+        return textstats.dsir_logratio(read("documents"))
+    if op == "pmi":
+        return textstats.pmi_collocations(docs)
+    if op == "ppl":
+        return textstats.ppl_buckets(docs, read("documents", ["doc_id", "lang"]))
+    if op == "tfidf":
+        return textstats.tfidf_topk(docs)
+    if op == "snm":
+        return dedup.snm_pairs(docs)
+    if op == "bpe":
+        return bpe.bpe_merges(docs)
+    raise KeyError(op)
+
+
+# op -> (expected columns, expected rows as tuples)
+_EMPTY = {
+    "triangles": (["n_triangles"], [(0,)]),
+    "bfs": (["node", "dist"], [(0, 0)]),
+    "label_propagation": (["node", "community"], []),
+    "semdedup": (["vec_id", "cluster", "is_dup"], []),
+    "quantize": (["vec_id", "n_dims", "code_sum", "code_min", "code_max"], []),
+    "pca": (["vec_id", "pc0", "pc1", "pc2", "pc3"], []),
+    "nll": (["doc_id", "n_bigrams", "nll_bits"], []),
+    "dsir": (["doc_id", "n_tokens", "dsir_logratio"], []),
+    "pmi": (["w1", "w2", "nxy", "pmi"], []),
+    "ppl": (["doc_id", "lang", "n_bigrams", "nll_bits", "ppl_bucket"], []),
+    "tfidf": (["doc_id", "tok", "tf", "df", "score", "rank"], []),
+    "snm": (["doc_a", "doc_b", "inter", "uni"], []),
+    "bpe": (["rank", "left", "right", "n"], []),
+}
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("empty_tables")
+    for name, schema in _TABLES.items():
+        pq.write_table(schema.empty_table(), d / f"{name}.parquet")
+    return d
+
+
+@pytest.mark.parametrize("op", sorted(_EMPTY))
+def test_gated_op_empty_input(ray_session, empty_dir, caplog, op):
+    import ray.data as rd
+
+    from ocr_ray.pqread import read_parquet
+
+    assert set(_EMPTY) == set(LOCAL_ROW_LIMITS)
+
+    def read(name, columns=None):
+        return read_parquet(str(empty_dir / f"{name}.parquet"), columns=columns)
+
+    with caplog.at_level(logging.DEBUG, logger="ocr_ray.gates"):
+        out = _run(op, read)
+    # the decision record (op, n, limit, path)
+    assert (op, 0, LOCAL_ROW_LIMITS[op], "local") in [
+        r.args for r in caplog.records if r.name == "ocr_ray.gates"]
+    cols, rows = _EMPTY[op]
+    if isinstance(out, rd.Dataset):
+        # Ray's to_pandas() of a 0-row Dataset drops its columns
+        assert out.schema().names == cols
+        out = out.to_pandas()
+    else:
+        assert list(out.columns) == cols
+    assert [tuple(r) for r in out.itertuples(index=False)] == rows

@@ -4,6 +4,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
+
 
 def _emb_table(n=300, d=8, seed=5):
     rng = np.random.RandomState(seed)
@@ -45,7 +47,7 @@ def test_covariance_distributed_partials_match_local(ray_session, monkeypatch):
     tbl = _emb_table(n=500, d=6, seed=9)
     ds = rd.from_arrow(tbl).repartition(7)
     loc = S.embedding_covariance(ds)
-    monkeypatch.setattr(S, "_PCA_LOCAL_GATE", 0)  # force the grouped-sum path
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "pca", 0)  # the grouped-sum path
     dist = S.embedding_covariance(ds)
     # both quantize at 4 dp; partial-order association noise is ~1e-11
     pd.testing.assert_frame_equal(dist, loc)

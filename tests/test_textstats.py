@@ -13,6 +13,7 @@ from ocr_ray.functions.textstats import (
     token_stats_batch,
     winnow_batch,
 )
+from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
 
 def _batch(texts):
@@ -389,7 +390,7 @@ def test_bigram_nll_distributed_path_matches_local(ray_session, monkeypatch):
         {"doc_id": list(range(len(texts))), "text": texts})).repartition(3)
     local = T.bigram_nll(docs).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
-    monkeypatch.setattr(T, "_NLL_LOCAL_GATE_DOCS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "nll", 0)
     dist = T.bigram_nll(docs).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     assert dist.equals(local)
@@ -413,7 +414,7 @@ def test_semdedup_distributed_path_matches_local(ray_session, monkeypatch):
     local = S.semdedup(embs, n_clusters=3, tau=0.9,
                        train_sample=32).to_pandas().sort_values(
         "vec_id").reset_index(drop=True)
-    monkeypatch.setattr(S, "_SEMDEDUP_LOCAL_GATE", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "semdedup", 0)
     dist = S.semdedup(embs, n_clusters=3, tau=0.9,
                       train_sample=32).to_pandas().sort_values(
         "vec_id").reset_index(drop=True)
@@ -568,7 +569,7 @@ def test_dsir_distributed_path_matches_local(ray_session, monkeypatch):
     ds = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(5)
     local = T.dsir_logratio(ds, "en").to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
-    monkeypatch.setattr(T, "_DSIR_LOCAL_GATE_DOCS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "dsir", 0)
     dist = T.dsir_logratio(ds, "en").to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     assert dist.equals(local)
@@ -601,7 +602,7 @@ def test_embedding_quantize_matches_brute(ray_session, monkeypatch):
     # every min-attaining / max-attaining element hits the code rails
     assert code.max() == 254 and code.min() == 0
     # forced-distributed path is bit-equal to the local path
-    monkeypatch.setattr(S, "_QUANT_LOCAL_GATE", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "quantize", 0)
     dist = S.embedding_quantize(ds).to_pandas().sort_values(
         "vec_id").reset_index(drop=True)
     assert dist.equals(out)
@@ -676,7 +677,7 @@ def test_pmi_collocations_distributed_matches_local(ray_session, monkeypatch):
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(5)
     loc = TS.pmi_collocations(ds, min_count=2, k=15)
-    monkeypatch.setattr(TS, "_PMI_LOCAL_GATE_DOCS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "pmi", 0)
     dist = TS.pmi_collocations(ds, min_count=2, k=15)
     pd.testing.assert_frame_equal(dist, loc)
 
@@ -738,8 +739,8 @@ def test_ppl_buckets_distributed_matches_local(ray_session, monkeypatch):
     docs = rd.from_arrow(tbl.select(["doc_id", "text"])).repartition(5)
     langs = rd.from_arrow(tbl.select(["doc_id", "lang"])).repartition(4)
     loc = TS.ppl_buckets(docs, langs)
-    monkeypatch.setattr(TS, "_PPL_LOCAL_GATE_DOCS", 0)
-    monkeypatch.setattr(TS, "_NLL_LOCAL_GATE_DOCS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "ppl", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "nll", 0)
     dist = TS.ppl_buckets(docs, langs)
     pd.testing.assert_frame_equal(dist, loc)
     # every lang's buckets are 1..3 with NTILE-balanced sizes
@@ -819,7 +820,7 @@ def test_tfidf_topk_distributed_matches_local(ray_session, monkeypatch):
     ds = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(6)
     loc = TS.tfidf_topk(ds, n=3).to_pandas().sort_values(
         ["doc_id", "rank"]).reset_index(drop=True)
-    monkeypatch.setattr(TS, "_TFIDF_LOCAL_GATE_DOCS", 0)
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "tfidf", 0)
     dist = TS.tfidf_topk(ds, n=3).to_pandas().sort_values(
         ["doc_id", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(dist, loc)

@@ -1,6 +1,6 @@
 """Scale demonstration for BFS frontier expansion
-(``graph.bfs_hops`` distributed path) above both the driver gate and
-the semi-join broadcast gate.
+(``graph.bfs_hops`` distributed path, forced through its
+``LOCAL_ROW_LIMITS`` entry) past the semi-join broadcast gate.
 
 Random graph: 600k nodes, ~6M undirected edges (mean degree ~20), BFS
 from node 0 to k=4 — on this density hop 3's frontier is ~10^4
@@ -80,11 +80,13 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
     from ocr_ray.pipelines.graph import bfs_hops
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
     ds = rd.from_arrow(tbl).repartition(ncpu * 2).materialize()
 
+    LOCAL_ROW_LIMITS["bfs"] = 0  # the distributed plan at any size
     t0 = time.perf_counter()
-    dist = bfs_hops(ds, seed=0, k=4, force_distributed=True)
+    dist = bfs_hops(ds, seed=0, k=4)
     dist_sec = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -7,9 +7,9 @@ handle (a hot group just spans more sorted blocks; no task ever holds a
 whole language's rows, because ranks come from the block-boundary
 prefix walk, not a per-group materialization). Runs the full
 distributed plan (LM scoring joins + range sort + seam walk + NTILE
-assign) far above the 50k-doc local gate and checks the output is
-IDENTICAL to the driver-local shared-kernel replay, plus the NTILE
-balance invariant per language.
+assign), forced through the ``nll`` and ``ppl`` ``LOCAL_ROW_LIMITS``
+entries, and checks the output is IDENTICAL to the driver-local
+shared-kernel replay, plus the NTILE balance invariant per language.
 
 Usage: python tools/scale_demo_rank.py [n_docs] [ncpu]
 Prints one JSON line; run from the repo root.
@@ -64,16 +64,18 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
     import ocr_ray.functions.textstats as TS
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
     docs = rd.from_arrow(dtbl).repartition(ncpu * 2).materialize()
     langs = rd.from_arrow(ltbl).repartition(ncpu * 2).materialize()
 
+    LOCAL_ROW_LIMITS.update(nll=0, ppl=0)  # the distributed plan
     t0 = time.perf_counter()
-    dist = TS.ppl_buckets(docs, langs)  # above the gate: distributed plan
+    dist = TS.ppl_buckets(docs, langs)
     dist_sec = time.perf_counter() - t0
 
-    # driver-local shared-kernel replay (force the gate open)
-    TS._PPL_LOCAL_GATE_DOCS = 10**12
+    # driver-local shared-kernel replay
+    LOCAL_ROW_LIMITS.update(nll=len(dtbl) + 1, ppl=len(dtbl) + 1)
     t0 = time.perf_counter()
     loc = TS.ppl_buckets(docs, langs)
     loc_sec = time.perf_counter() - t0

@@ -1,6 +1,6 @@
 """Scale demonstration for sorted-neighborhood dedup
 (``functions.dedup.snm_pairs``) — the distributed path (sort + seam
-walk + cogroup verify) far above the local gate.
+walk + cogroup verify), forced through its ``LOCAL_ROW_LIMITS`` entry.
 
 Synthesizes N docs of ~30 DISTINCT tokens drawn from a 50k-word vocab,
 and plants a near-dup variant for every 20th doc: identical prefix
@@ -14,9 +14,6 @@ hit). Checks:
   - planted recall == 1.0 on the variant pairs;
   - throughput: docs/sec end-to-end through the distributed plan.
 
-Uses OCR_RAY_FAST_HASH=1 (the parity-tested vectorized token-hash path)
-unless the env var is explicitly set to 0.
-
 Usage: python tools/scale_demo_snm.py [n_docs] [ncpu]
 Prints one JSON line; run from the repo root.
 """
@@ -29,8 +26,6 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-os.environ.setdefault("OCR_RAY_FAST_HASH", "1")
 
 import numpy as np
 import pandas as pd
@@ -84,15 +79,18 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
     from ocr_ray.functions.dedup import snm_pairs
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
     ds = rd.from_arrow(tbl).repartition(ncpu * 2).materialize()
 
+    LOCAL_ROW_LIMITS["snm"] = 0  # the distributed plan at any size
     t0 = time.perf_counter()
-    dist = snm_pairs(ds, force_distributed=True)
+    dist = snm_pairs(ds)
     dist_sec = time.perf_counter() - t0
 
+    LOCAL_ROW_LIMITS["snm"] = len(tbl) + 1  # driver-local shared-kernel replay
     t0 = time.perf_counter()
-    loc = snm_pairs(ds)  # driver-local shared-kernel replay
+    loc = snm_pairs(ds)
     loc_sec = time.perf_counter() - t0
 
     match = dist.reset_index(drop=True).equals(loc.reset_index(drop=True))
@@ -104,7 +102,6 @@ def main() -> None:
         "n_docs": int(len(tbl)),
         "n_planted": len(expect),
         "num_cpus": ncpu,
-        "fast_hash": os.environ.get("OCR_RAY_FAST_HASH", "") not in ("", "0"),
         "gen_sec": round(gen_sec, 2),
         "distributed_sec": round(dist_sec, 2),
         "local_replay_sec": round(loc_sec, 2),
