@@ -4,8 +4,9 @@ Replays the reference inference chain (SURVEY.md §3.1, reference
 test_img.py:78-132 / DetectUtil.py:127-216) over one transcript turn:
 
     segment -> score units -> threshold -> dilate+group regions ->
-    per-unit full-block proposals (restore) -> locality-aware NMS ->
-    reading-order sort -> mean-confidence recompute + box filter ->
+    full-block proposals per run of units sharing a block (restore) ->
+    locality-aware NMS -> reading-order sort -> mean-confidence
+    recompute + box filter ->
     deterministic span cap -> decode member units -> CTC collapse ->
     degenerate filter -> emit (start, end, text, score)
 
@@ -19,6 +20,8 @@ Offsets are char offsets into the NORMALIZED payload
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from . import config as C
@@ -26,7 +29,7 @@ from .segment import Unit, detect_kind, segment
 from .spanlib import canonicalize, nms_locality
 from .textnorm import ctc_collapse, decode_entities, encode_token, normalize_text
 
-__all__ = ["score_units", "propose_spans", "decode_span", "extract_turn"]
+__all__ = ["score_units", "propose_spans", "unit_bounds", "decode_span", "extract_turn"]
 
 
 def score_units(units: list[Unit]) -> np.ndarray:
@@ -84,10 +87,14 @@ def propose_spans(
             rs = re_ = i
     regions.append((rs, re_))
 
-    # per-region per-unit full-block proposals (restore_rectangle analog,
+    # per-region full-block proposals (restore_rectangle analog,
     # DetectUtil.py:171-194: every member pixel proposes a full box carrying
-    # the region score SUM); np-pairwise summation kept for exact float
-    # parity with the previous vectorized form
+    # the region score SUM). A run of consecutive members shares one block,
+    # so it proposes that box once, carrying the score locality NMS would
+    # accumulate merging the run's identical boxes one by one (sum + acc, in
+    # the same order) — but not the coordinate drift of that merge
+    # ((s*g0 + acc*p0)/tot is inexact even for g == p). The region sum
+    # stays numpy's pairwise sum.
     proposals: list[list[float]] = []
     for rs, re_ in regions:
         members = units[rs : re_ + 1]
@@ -96,8 +103,13 @@ def propose_spans(
             counters["drop_min_text_size"] = counters.get("drop_min_text_size", 0) + 1
             continue
         score_sum = float(scores[rs : re_ + 1].sum())
+        box = None
         for u in members:
-            proposals.append([float(u.geo_start), float(u.geo_end), score_sum])
+            if box is not None and box[0] == u.geo_start and box[1] == u.geo_end:
+                box[2] = score_sum + box[2]
+            else:
+                box = [float(u.geo_start), float(u.geo_end), score_sum]
+                proposals.append(box)
     if not proposals:
         return []
 
@@ -113,34 +125,20 @@ def propose_spans(
     # recompute score as the length-weighted mean unit confidence over the
     # span, counting uncovered chars as 0 — the masked cv2.mean analog
     # (DetectUtil.py:209-212) — then filter > BOX_THRESH (line 214).
-    # Two bit-identical paths: the numpy one computes the per-unit overlaps
-    # vectorized but accumulates the (few) overlapping terms SEQUENTIALLY in
-    # unit order — the exact float ops of the scalar loop — so output scores
-    # cannot drift between paths (golden fixtures compare exact).
-    n_units = len(units)
-    vectorize = n_units * len(box_rows) >= 64
-    if vectorize:
-        u_starts = np.fromiter((u.start for u in units), np.float64, n_units)
-        u_ends = np.fromiter((u.end for u in units), np.float64, n_units)
+    # Units are in document order and disjoint, so the ones overlapping
+    # [s, e) are one index range found by bisection; the terms accumulate
+    # in unit order.
+    starts, ends = unit_bounds(units)
     kept: list[tuple[float, float, float]] = []
     for s, e, _ in box_rows:
         span_len = e - s
         if span_len <= 0:
             counters["drop_empty"] = counters.get("drop_empty", 0) + 1
             continue
-        acc = np.float64(0.0)
-        if vectorize:
-            ov_arr = np.minimum(u_ends, e) - np.maximum(u_starts, s)
-            mask = ov_arr > 0
-            terms = scores[mask] * ov_arr[mask]
-            for v in terms:
-                acc += v
-        else:
-            for u, sc in zip(units, score_list):
-                ov = min(u.end, e) - max(u.start, s)
-                if ov > 0:
-                    acc += sc * ov
-        mean_score = float(acc / span_len)
+        acc = 0.0
+        for i in range(bisect_right(ends, s), bisect_left(starts, e)):
+            acc += score_list[i] * (min(ends[i], e) - max(starts[i], s))
+        mean_score = acc / span_len
         if mean_score > C.BOX_THRESH:
             kept.append((s, e, mean_score))
         else:
@@ -170,14 +168,20 @@ def propose_spans(
     return out
 
 
+def unit_bounds(units: list[Unit]) -> tuple[list[int], list[int]]:
+    """(starts, ends) of ``units``: both ascending, since units are in
+    document order and disjoint — the lists every bisection searches."""
+    return [u.start for u in units], [u.end for u in units]
+
+
 def decode_span(
     norm_text: str,
     kind: str,
     units: list[Unit],
+    bounds: tuple[list[int], list[int]],
     start: int,
     end: int,
     counters: dict[str, int] | None = None,
-    _bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> str:
     """Decode one span: gather member units (RoIRotate crop analog, A2),
     order them — pdfish by (page, y, x) reading order (O3 analog,
@@ -185,18 +189,14 @@ def decode_span(
     alphabet (M11), truncate to the decode window (max_box_width analog),
     CTC-collapse (A5, Module/RecognitionLoss.py:33-38), join with spaces.
 
-    ``_bounds`` is an optional (starts, ends) numpy pair precomputed by the
-    caller for turns with many units: the member gather then runs as one
-    vectorized mask instead of a Python scan (identical selection)."""
+    ``bounds`` is :func:`unit_bounds` of ``units``: the members (units
+    overlapping ``[start, end)``) are one index range found by bisection.
+    The window cuts raw tokens before projection; ``encode_token`` maps
+    tokens 1:1, so that equals cutting projected ones."""
     if counters is None:
         counters = {}
-    if _bounds is not None:
-        u_starts, u_ends = _bounds
-        members = [
-            units[i] for i in np.nonzero((u_starts < end) & (u_ends > start))[0]
-        ]
-    else:
-        members = [u for u in units if u.start < end and u.end > start]
+    starts, ends = bounds
+    members = units[bisect_right(ends, start) : bisect_left(starts, end)]
     if kind == C.PAYLOAD_PDFISH:
         members = sorted(members, key=lambda u: (u.page, u.y, u.x, u.start))
     html = kind == C.PAYLOAD_HTML
@@ -207,13 +207,13 @@ def decode_span(
         seg = norm_text[a:b]
         if html and "&" in seg:
             seg = decode_entities(seg)
-        extend(map(encode_token, seg.split()))
+        extend(seg.split())
     if len(tokens) > C.MAX_DECODE_TOKENS:
         counters["drop_window_tokens"] = counters.get("drop_window_tokens", 0) + (
             len(tokens) - C.MAX_DECODE_TOKENS
         )
-        tokens = tokens[: C.MAX_DECODE_TOKENS]
-    return " ".join(ctc_collapse(tokens, C.DECODER_BLANKS))
+        del tokens[C.MAX_DECODE_TOKENS :]
+    return " ".join(ctc_collapse(list(map(encode_token, tokens)), C.DECODER_BLANKS))
 
 
 def extract_turn(
@@ -233,14 +233,9 @@ def extract_turn(
         return []
     scores = score_units(units)
     spans = propose_spans(units, scores, len(norm), counters)
-    bounds = None
-    if len(units) * len(spans) >= 64:
-        bounds = (
-            np.fromiter((u.start for u in units), np.int64, len(units)),
-            np.fromiter((u.end for u in units), np.int64, len(units)),
-        )
+    bounds = unit_bounds(units)
     out = []
     for i, (s, e, sc) in enumerate(spans):
-        text = decode_span(norm, kind, units, s, e, counters, _bounds=bounds)
+        text = decode_span(norm, kind, units, bounds, s, e, counters)
         out.append({"span_idx": i, "start": s, "end": e, "text": text, "score": sc})
     return out

@@ -35,18 +35,17 @@ _BLOCK_TAGS = {
     "main", "article", "p", "h1", "h2", "li", "ul", "div",
     "blockquote", "nav", "header", "footer", "aside", "body", "html",
 }
-# one scan matches comments AND tags; self-closing tags (<br/>) match via
-# the [\s/] branch and are detected by the trailing "/" in group 0.
-# Kept for the simple-probe use sites; the html segmenter itself uses the
-# quote-aware linear scanner below (_iter_tags), which additionally honors
-# '>' inside quoted attribute values and <![CDATA[...]]> sections.
-_TAG_RE = re.compile(r"<!--.*?-->|<(/?)([a-zA-Z][a-zA-Z0-9]*)(?:[\s/][^>]*)?>", re.S)
 # quote-aware single-pass tokenizer, ordered alternatives:
 #   comment | CDATA | tag with quote-aware attribute zone | tag with the
 #   plain first-'>' attribute zone (fallback an unterminated quote degrades
 #   to). No exponential backtracking: at any attribute-zone position
 #   exactly one alternative can match (the char classes exclude quotes),
 #   so failure unwinds linearly into the fallback branch.
+# A '>' inside a quoted attribute value does not end the tag
+# (<div title="a>b"> is one tag) and <![CDATA[...]]> is one opaque
+# construct; an UNTERMINATED quote degrades to the first-'>' rule instead
+# of swallowing the document. Comments and CDATA match with every group
+# None; a self-closing tag (<br/>) ends in "/>".
 _HTML_TOKEN_RE = re.compile(
     r"<!--.*?-->"
     r"|<!\[CDATA\[.*?\]\]>"
@@ -55,32 +54,11 @@ _HTML_TOKEN_RE = re.compile(
     r"|<(?P<c2>/?)(?P<n2>[a-zA-Z][a-zA-Z0-9]*)(?:[\s/][^>]*)?>",
     re.S,
 )
-
-
-def _iter_tags(text: str):
-    """Markup tokenizer: yields ``(start, end, name, closing,
-    self_closing)`` per construct, ``name=None`` for comments and CDATA
-    sections (contents opaque).
-
-    Semantics vs the legacy ``_TAG_RE``: identical on well-formed markup,
-    PLUS a ``>`` inside a quoted attribute value no longer terminates the
-    tag (``<div title="a>b">`` is one tag) and ``<![CDATA[...]]>`` is one
-    opaque construct; an UNTERMINATED quote degrades to the legacy
-    first-``>`` rule instead of swallowing the document."""
-    for m in _HTML_TOKEN_RE.finditer(text):
-        g0 = m.group(0)
-        if g0[1] == "!":  # comment or CDATA
-            yield m.start(), m.end(), None, False, False
-            continue
-        name = m.group("n1") or m.group("n2")
-        closing = (m.group("c1") or m.group("c2")) == "/"
-        yield m.start(), m.end(), name, closing, g0[-2] == "/" and len(g0) > 3
 # content inside these is boilerplate machinery, never candidate text
 _SKIP_CONTENT_TAGS = {"script", "style"}
 _HTML_HINT_RE = re.compile(r"<[a-zA-Z][^>]*>")
 # pdfish line record: "L <page> <y> <x> <text...>"
 _PDF_LINE_RE = re.compile(r"^L (\d+) (\d+) (\d+) (.*)$")
-_WS_RE = re.compile(r"\s+")
 
 # Ignore-tag analog (reference DataGen.py:80-84): a unit whose stripped text
 # is "*" or begins with "###" is tagged ignore and masked out of proposals.
@@ -131,23 +109,16 @@ def _density(s: str) -> float:
     return good / len(s)
 
 
-def _trim_run(text: str, a: int, b: int) -> tuple[int, int]:
-    """Shrink [a,b) to strip surrounding whitespace; returns (a, a) if empty."""
-    while a < b and text[a].isspace():
-        a += 1
-    while b > a and text[b - 1].isspace():
-        b -= 1
-    return a, b
-
-
 def _mk_unit(text: str, a: int, b: int, tag: str, in_link: bool,
              page: int = 0, y: int = 0, x: int = 0) -> Unit | None:
-    a, b = _trim_run(text, a, b)
-    if b <= a:
+    # str.strip() trims the same isspace() set a char-by-char scan would
+    raw = text[a:b]
+    run = raw.lstrip()
+    a += len(raw) - len(run)
+    run = run.rstrip()
+    if not run:
         return None
-    run = text[a:b]
-    # run is already whitespace-trimmed by _trim_run (same isspace() set as
-    # str.strip()), so test it directly instead of paying a .strip() copy
+    b = a + len(run)
     ignore = run == _IGNORE_EXACT or run.startswith(_IGNORE_PREFIX)
     return Unit(
         a, b, a, b, tag,
@@ -173,7 +144,8 @@ def _segment_html(text: str) -> list[Unit]:
     pos = 0
     units_append = units.append
     bids_append = block_ids.append
-    for mstart, mend, name, closing, self_closing in _iter_tags(text):
+    for m in _HTML_TOKEN_RE.finditer(text):
+        mstart, mend = m.span()
         if mstart > pos and skip_depth == 0:
             if stack:
                 tag, bid = stack[-1]
@@ -183,13 +155,14 @@ def _segment_html(text: str) -> list[Unit]:
             if u is not None:
                 units_append(u)
                 bids_append(bid)
-        if name is None:  # comment / CDATA — contents never become units
+        c1, n1, c2, n2 = m.groups()
+        name = n1 or n2
+        # comment / CDATA (contents never become units) or self-closing tag
+        if name is None or (text[mend - 2] == "/" and mend - mstart > 3):
             pos = mend
             continue
         name = name.lower()
-        if self_closing:
-            pos = mend
-            continue
+        closing = (c1 or c2) == "/"
         if name in _SKIP_CONTENT_TAGS:
             skip_depth = max(0, skip_depth - 1) if closing else skip_depth + 1
         elif name == "a":

@@ -13,6 +13,9 @@ normalized turn payload. Mirrors the N×9 RBOX rows of the reference
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 
 __all__ = [
@@ -60,54 +63,48 @@ def standard_nms(S: np.ndarray, thres: float) -> np.ndarray:
     """Greedy score-descending NMS over (start, end, score) rows.
 
     Analog of reference locality_aware_nms.py:24-35, including the ``<=``
-    survival comparison and ``np.argsort[::-1]`` tie behavior.
+    survival comparison and ``np.argsort[::-1]`` tie behavior: in that
+    order, a row survives iff no row kept before it has IoU > ``thres``
+    with it.
 
-    Two bit-identical execution paths: a scalar loop for small inputs
-    (numpy call overhead dominates below ~32 rows — the common case is a
-    handful of proposals per turn) and the batched numpy form beyond.
-    Ordering always comes from the same np.argsort so tie behavior cannot
-    diverge between paths; the per-pair float arithmetic is the same IEEE
-    ops either way."""
-    order = np.argsort(S[:, 2])[::-1]
-    if S.shape[0] <= 32:
-        starts = S[:, 0].tolist()
-        ends = S[:, 1].tolist()
-        alive = order.tolist()
-        keep: list[int] = []
-        while alive:
-            i = alive[0]
-            keep.append(i)
-            si, ei = starts[i], ends[i]
-            li = ei - si
-            nxt: list[int] = []
-            for r in alive[1:]:
-                inter = min(ends[r], ei) - max(starts[r], si)
-                lr = ends[r] - starts[r]
-                union = li + lr - inter
-                ovr = (
-                    inter / union
-                    if (li > 0 and lr > 0 and inter > 0 and union != 0)
-                    else 0.0
-                )
-                if ovr <= thres:
-                    nxt.append(r)
-            alive = nxt
-        return S[keep]
-
-    starts, ends = S[:, 0], S[:, 1]
-    lens = ends - starts
-    keep = []
-    while order.size > 0:
-        i = order[0]
-        keep.append(i)
-        rest = order[1:]
-        if rest.size == 0:
-            break
-        inter = np.minimum(ends[rest], ends[i]) - np.maximum(starts[rest], starts[i])
-        union = lens[i] + lens[rest] - inter
-        valid = (lens[i] > 0) & (lens[rest] > 0) & (inter > 0) & (union != 0)
-        ovr = np.where(valid, inter / np.where(union == 0, 1.0, union), 0.0)
-        order = rest[ovr <= thres]
+    Each row is tested only against the kept rows that could suppress it,
+    found by bisection: IoU > thres needs overlap (a kept start below the
+    row's end) and a kept length below ``len_r / thres`` (so a kept start
+    above ``s - len_r / thres``). Kept rows of positive length sit in a
+    list sorted by start; those whose start falls in that window (widened
+    2x, which absorbs float rounding) get the exact per-pair test, with
+    the reference's arithmetic. Rows of non-positive length have IoU 0
+    with everything, so they are kept unchecked and never indexed."""
+    order = np.argsort(S[:, 2])[::-1].tolist()
+    if not thres >= 0:  # every IoU, 0 included, exceeds it: only the best row stays
+        return S[order[:1]]
+    starts = S[:, 0].tolist()
+    ends = S[:, 1].tolist()
+    kept_starts: list[float] = []  # starts of kept positive-length rows, sorted
+    kept_rows: list[int] = []      # their row indices, aligned
+    keep: list[int] = []
+    for r in order:
+        sr, er = starts[r], ends[r]
+        lr = er - sr
+        if lr > 0:
+            lo = sr - 2.0 * lr / thres if thres > 0 else -math.inf
+            hi = bisect_left(kept_starts, er)
+            suppressed = False
+            for j in range(bisect_left(kept_starts, lo), hi):
+                k = kept_rows[j]
+                sk, ek = kept_starts[j], ends[k]
+                inter = min(er, ek) - max(sr, sk)
+                if inter > 0:
+                    union = (ek - sk) + lr - inter
+                    if union != 0 and not inter / union <= thres:
+                        suppressed = True
+                        break
+            if suppressed:
+                continue
+            pos = bisect_left(kept_starts, sr)
+            kept_starts.insert(pos, sr)
+            kept_rows.insert(pos, r)
+        keep.append(r)
     return S[keep]
 
 

@@ -11,9 +11,9 @@ Sorted blocks are disjoint key ranges, so a block's first-row key both
 names the block and orders it — no ``preserve_order`` needed. Callers'
 key sets are unique per row, so first-row keys never collide.
 
-Used by span reconciliation (``reconcile_sorted``), the global ranks and
-running minimum of the training replay, and the rank-based relational
-queries (quantile picks, global decile, Pareto crossing).
+Used by the global ranks and running minimum of the training replay and
+the rank-based relational queries (quantile picks, global decile, Pareto
+crossing).
 """
 
 from __future__ import annotations

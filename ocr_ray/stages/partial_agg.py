@@ -27,7 +27,7 @@ __all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
 # on one Arrow table instead of its distributed plan: on inputs this small
 # the distributed plan's dataset executions and exchanges are pure fixed
 # overhead. The graph limits count edges, SemDeDup's vectors, BPE's
-# distinct words, the rest input rows. Tests force the distributed plan
+# distinct words, reconcile extracted spans, the rest input rows. Tests force the distributed plan
 # by setting a limit to 0.
 LOCAL_ROW_LIMITS = {
     "triangles": 20_000,
@@ -42,6 +42,7 @@ LOCAL_ROW_LIMITS = {
     "snm": 50_000,
     "quantize": 50_000,
     "pca": 50_000,
+    "reconcile": 50_000,
     "bpe": 200_000,
 }
 

@@ -42,8 +42,20 @@ def independent_propose(units, scores):
         if sum(units[i].end - units[i].start for i in members) < C.MIN_TEXT_SIZE:
             continue
         ssum = float(np.sum(np.asarray([scores[i] for i in members])))
+        # one proposal per run of members sharing a block: the exact block
+        # bounds, scored with the region sum once per member
+        runs = []
         for i in members:
-            proposals.append((float(units[i].geo_start), float(units[i].geo_end), ssum))
+            box = (units[i].geo_start, units[i].geo_end)
+            if runs and runs[-1][0] == box:
+                runs[-1][1] += 1
+            else:
+                runs.append([box, 1])
+        for (gs, ge), k in runs:
+            total = ssum
+            for _ in range(k - 1):
+                total = ssum + total
+            proposals.append((float(gs), float(ge), total))
     if not proposals:
         return []
 

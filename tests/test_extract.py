@@ -4,7 +4,13 @@
 import numpy as np
 
 from ocr_ray import config as C
-from ocr_ray.extract import decode_span, extract_turn, propose_spans, score_units
+from ocr_ray.extract import (
+    decode_span,
+    extract_turn,
+    propose_spans,
+    score_units,
+    unit_bounds,
+)
 from ocr_ray.segment import detect_kind, segment
 
 
@@ -98,7 +104,7 @@ def test_decode_pdfish_reading_order():
     spans = propose_spans(units, score_units(units), len(text))
     assert len(spans) == 1
     s, e, _ = spans[0]
-    out = decode_span(text, "pdfish", units, s, e)
+    out = decode_span(text, "pdfish", units, unit_bounds(units), s, e)
     assert out == "first words second words"
 
 
@@ -232,3 +238,48 @@ def test_scores_deterministic_array():
     s1 = score_units(units)
     s2 = score_units(units)
     assert np.array_equal(s1, s2)
+
+
+def test_plain_paragraph_span_starts_at_block_start():
+    # the paragraph's three lines propose the same block [5, 33); merging
+    # those identical boxes by weighted average once drifted to 4.99...,
+    # truncated to 4
+    text = "cya\n\n; column y2 row\n& plan\ntable"
+    units = segment(text, "plain")
+    assert {(u.geo_start, u.geo_end) for u in units[1:]} == {(5, 33)}
+    spans = extract_turn(text)
+    assert [(s["start"], s["end"]) for s in spans] == [(5, 33)]
+    assert spans[0]["text"] == "; column y2 row & plan table"
+
+
+def test_html_spans_never_end_in_a_partial_entity():
+    # a span end one char short of its block cut "&quot;" to "&quot"
+    # (conv-00000372 turn 1 ended in `"customer&quot`)
+    import re
+
+    from ocr_ray.corpus import gen_conversation
+    from ocr_ray.textnorm import normalize_text
+
+    partial = re.compile(r"&[#0-9A-Za-z]*$")
+    html_spans = 0
+    for c in range(400):
+        for t in gen_conversation(c, 1):
+            norm = normalize_text(t["text"] or "")
+            if not norm or detect_kind(norm) != "html":
+                continue
+            for s in extract_turn(t["text"]):
+                html_spans += 1
+                assert not partial.search(s["text"]), (t["conv_id"], t["turn_idx"], s)
+    assert html_spans > 1000
+
+
+def test_decode_window_counts_tokens_after_entity_decoding():
+    # "a&nbsp;b" is one raw token but two once &nbsp; decodes to U+00A0,
+    # so the window (384) cuts right after "a": 386 tokens, 2 dropped
+    words = [f"w{i}" for i in range(383)]
+    text = "<p>" + " ".join(words) + " a&nbsp;b c</p>"
+    counters: dict = {}
+    spans = extract_turn(text, counters)
+    assert [(s["start"], s["end"]) for s in spans] == [(3, len(text) - 4)]
+    assert spans[0]["text"] == " ".join(words + ["a"])
+    assert counters["drop_window_tokens"] == 2

@@ -16,12 +16,17 @@ _TABLES = {
     "embeddings": pa.schema([("vec_id", pa.int64()),
                              ("embedding", pa.list_(pa.float32()))]),
     "edges": pa.schema([("lo", pa.int64()), ("hi", pa.int64())]),
+    "spans": pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                        ("span_idx", pa.int32()), ("start", pa.int64()),
+                        ("end", pa.int64()), ("text", pa.string()),
+                        ("score", pa.float64())]),
 }
 
 
 def _run(op, read):
     from ocr_ray.functions import bpe, dedup, similarity, textstats
     from ocr_ray.pipelines import graph
+    from ocr_ray.pipelines.extract import reconcile_sorted
 
     docs = read("documents", ["doc_id", "text"])
     if op == "triangles":
@@ -50,6 +55,8 @@ def _run(op, read):
         return dedup.snm_pairs(docs)
     if op == "bpe":
         return bpe.bpe_merges(docs)
+    if op == "reconcile":
+        return reconcile_sorted(read("spans"))
     raise KeyError(op)
 
 
@@ -68,6 +75,8 @@ _EMPTY = {
     "tfidf": (["doc_id", "tok", "tf", "df", "score", "rank"], []),
     "snm": (["doc_a", "doc_b", "inter", "uni"], []),
     "bpe": (["rank", "left", "right", "n"], []),
+    "reconcile": (["conv_id", "turn_idx", "span_idx", "start", "end", "text",
+                   "score", "span_seq"], []),
 }
 
 

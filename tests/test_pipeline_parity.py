@@ -30,20 +30,23 @@ def _golden(turns_path: str) -> pd.DataFrame:
     )
 
 
-@pytest.mark.parametrize("single_block", [True, False])
-def test_pipeline_matches_oracle(ray_session, turns_path, single_block):
-    """``single_block``: the spans are sorted into one block, so no
-    conversation crosses a block boundary; otherwise into many small
-    blocks, so span_seq must carry across boundaries."""
+@pytest.mark.parametrize("local", [True, False])
+def test_pipeline_matches_oracle(ray_session, turns_path, local, monkeypatch):
+    """``local``: reconcile's per-turn offsets are computed on the driver;
+    otherwise (limit forced to 0) from per-block partial counts grouped by
+    conversation and joined back through the bucket join."""
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
+    if not local:
+        monkeypatch.setitem(LOCAL_ROW_LIMITS, "reconcile", 0)
     spans = extract_spans(
         rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
     )
     df = (
-        reconcile_sorted(spans, nblocks=1 if single_block else 16)
+        reconcile_sorted(spans)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "span_idx"])
         .reset_index(drop=True)
@@ -69,9 +72,8 @@ def test_pipeline_matches_oracle(ray_session, turns_path, single_block):
 
 
 def test_reconcile_sorted_equals_grouped(ray_session, turns_path):
-    """The sort-based path produces the same span_seq as a pandas
-    groupby cumcount over the same spans (incl. the mega-conversation
-    that straddles many range-partitioned blocks)."""
+    """reconcile_sorted produces the same span_seq as a pandas groupby
+    cumcount over the same spans (incl. the mega-conversation)."""
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
@@ -124,8 +126,7 @@ def test_parity_at_sf_scale(ray_session):
     assert (merged.start_r == merged.start_o).all()
     assert (merged.end_r == merged.end_o).all()
     # reconcile_sorted's span_seq must be dense 0..n-1 per conversation —
-    # including the mega conversation whose spans straddle many sorted
-    # blocks (the offset hand-off case)
+    # including the mega conversation, whose spans sit in many blocks
     seq_ok = (
         df.sort_values(["conv_id", "turn_idx", "span_idx"])
         .groupby("conv_id")["span_seq"]
@@ -135,16 +136,19 @@ def test_parity_at_sf_scale(ray_session):
     assert (df.groupby("conv_id").size() > 250).any()  # mega conv present
 
 
-def test_single_conversation_worst_case_skew(ray_session, tmp_path):
-    """Degenerate skew: the ENTIRE corpus is one conversation — every
-    sorted block belongs to the same key; offsets must hand off across
-    all blocks and span_seq stay dense."""
+def test_single_conversation_worst_case_skew(ray_session, tmp_path, monkeypatch):
+    """Degenerate skew: the ENTIRE corpus is one conversation, so the
+    distributed reconcile groups every partial count under one key;
+    span_seq must stay dense."""
     import pyarrow as pa
     import pyarrow.parquet as pq2
 
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
+
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "reconcile", 0)
 
     rows = []
     for t in range(800):
@@ -267,16 +271,18 @@ def test_extract_metrics_counters(ray_session):
     assert out["spans_out"] >= 1
 
 
-def test_reconcile_sorted_boundary_walk_stress(ray_session):
-    """Adversarial shapes for the O(blocks) boundary-carry logic in
-    reconcile_sorted: conv sizes chosen so conversations end exactly at,
-    straddle, and fully span range-partition boundaries, across several
-    block counts. Ground truth is a pandas groupby cumcount."""
+def test_reconcile_sorted_boundary_walk_stress(ray_session, monkeypatch):
+    """Adversarial shapes for reconcile_sorted: conv sizes chosen so that
+    conversations and turns end exactly at, straddle, and fully span the
+    input's block boundaries (a turn's spans then sit in several blocks,
+    so partial counts must combine), over several block counts, on both
+    branches. Ground truth is a pandas groupby cumcount."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import reconcile_sorted
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
     rng = np.random.RandomState(11)
     rows = []
@@ -296,19 +302,22 @@ def test_reconcile_sorted_boundary_walk_stress(ray_session):
     truth["span_seq"] = truth.groupby("conv_id").cumcount()
 
     table = pa.Table.from_pandas(df, preserve_index=False)
-    for nblocks in (1, 3, 8, 17):
-        ds = rd.from_arrow(table)
-        got = (
-            reconcile_sorted(ds, nblocks=nblocks)
-            .to_pandas()
-            .sort_values(["conv_id", "turn_idx", "span_idx"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            got[["conv_id", "turn_idx", "span_idx", "span_seq"]],
-            truth[["conv_id", "turn_idx", "span_idx", "span_seq"]],
-            check_dtype=False,
-        )
+    for local in (True, False):
+        for nblocks in (1, 3, 8, 17):
+            with monkeypatch.context() as m:
+                if not local:
+                    m.setitem(LOCAL_ROW_LIMITS, "reconcile", 0)
+                got = (
+                    reconcile_sorted(rd.from_arrow(table).repartition(nblocks))
+                    .to_pandas()
+                    .sort_values(["conv_id", "turn_idx", "span_idx"])
+                    .reset_index(drop=True)
+                )
+            pd.testing.assert_frame_equal(
+                got[["conv_id", "turn_idx", "span_idx", "span_seq"]],
+                truth[["conv_id", "turn_idx", "span_idx", "span_seq"]],
+                check_dtype=False,
+            )
 
 
 def test_production_metrics_match_audit_pass(ray_session, turns_path):
@@ -334,19 +343,21 @@ def test_production_metrics_match_audit_pass(ray_session, turns_path):
     assert totals["spans_out"] == spans.count()
 
 
-def test_mega_conversation_salting(ray_session, turns_path):
+def test_mega_conversation_salting(ray_session, turns_path, monkeypatch):
     """conv-00000000 is a mega-conversation (MEGA_TURNS turns): its spans
-    straddle sorted blocks, yet reconcile_sorted must still produce a
-    dense, correctly ordered ordinal."""
+    sit in many blocks, yet the distributed reconcile must still produce
+    a dense, correctly ordered ordinal."""
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
+    from ocr_ray.stages.partial_agg import LOCAL_ROW_LIMITS
 
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "reconcile", 0)
     df = reconcile_sorted(
         extract_spans(
             rd.read_parquet(turns_path, columns=["conv_id", "turn_idx", "text"])
-        ),
-        nblocks=8,
+            .repartition(8)
+        )
     ).to_pandas()
     mega = df[df.conv_id == "conv-00000000"].sort_values(["turn_idx", "span_idx"])
     assert len(mega) > 200  # mega conv produced many spans
@@ -368,3 +379,20 @@ def test_run_extraction_zero_spans(ray_session, tmp_path):
     out = run_extraction(str(tmp_path))
     assert out.count() == 0
     assert out.schema().names == SPAN_SCHEMA.names + ["span_seq"]
+
+
+def test_reconcile_rejects_sparse_span_idx(ray_session):
+    """span_seq = turn offset + span_idx is only dense when every turn's
+    span_idx runs 0..k-1; a gap is an error, not a silent hole."""
+    import pyarrow as pa
+
+    from ocr_ray.pipelines.extract import turn_counts, turn_offsets
+
+    spans = pa.table({"conv_id": ["c", "c", "c"],
+                      "turn_idx": pa.array([0, 0, 1], pa.int32()),
+                      "span_idx": pa.array([0, 2, 0], pa.int32())})
+    with pytest.raises(ValueError, match="not dense"):
+        turn_offsets(turn_counts(spans))
+    dense = turn_offsets(turn_counts(spans.slice(1).set_column(
+        2, "span_idx", pa.array([0, 0], pa.int32()))))
+    assert dense.column("offset").to_pylist() == [0, 1]

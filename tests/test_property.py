@@ -209,3 +209,37 @@ def test_kmv_overlap_exact_branch(ray_session, a, b):
     assert r["approx_a"] == len(a) and r["approx_b"] == len(b)
     assert r["approx_union"] == len(a | b)
     assert r["approx_inter"] == len(a & b)
+
+
+_markup = st.lists(
+    st.sampled_from(list("ab <>/=\"'!-[]&;#\n\t") + [
+        "<p>", "</p>", "<div>", "</div>", "<a>", "</a>", "<br/>", "<!--",
+        "-->", "<script>", "</script>", "<![CDATA[", "]]>", '<p title="a>b">']),
+    max_size=60,
+).map("".join)
+_pdf_lines = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 999), st.integers(0, 99),
+              st.text(alphabet=st.sampled_from(list("ab \t*#")), max_size=12),
+              st.booleans()),
+    max_size=12,
+)
+
+
+def _check_document_order(units):
+    for u, v in zip(units, units[1:]):
+        assert u.start < u.end <= v.start, (u, v)
+    if units:
+        assert units[-1].start < units[-1].end
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads, _markup, _pdf_lines)
+def test_segment_units_in_document_order(plain, html, pdf):
+    """Units are disjoint and ascending for every payload kind: the
+    precondition of every bisection over unit starts/ends."""
+    from ocr_ray.segment import segment
+
+    _check_document_order(segment(normalize_text(plain), "plain"))
+    _check_document_order(segment(normalize_text(html), "html"))
+    lines = [f"L {p} {y} {x} {t}" if rec else t for p, y, x, t, rec in pdf]
+    _check_document_order(segment("%PDF\n" + "\n".join(lines), "pdfish"))

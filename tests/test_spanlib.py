@@ -77,3 +77,49 @@ def test_reading_order_stable():
 def test_canonicalize_truncates_toward_zero_and_orders():
     assert canonicalize(3.9, 10.2) == (3, 10)
     assert canonicalize(10.0, 3.0) == (3, 10)
+
+
+def _greedy_nms_reference(S: np.ndarray, thres: float) -> np.ndarray:
+    """The batched greedy loop standard_nms replaced: every kept row
+    tested against every remaining one."""
+    order = np.argsort(S[:, 2])[::-1]
+    starts, ends = S[:, 0], S[:, 1]
+    lens = ends - starts
+    keep = []
+    while order.size > 0:
+        i = order[0]
+        keep.append(i)
+        rest = order[1:]
+        if rest.size == 0:
+            break
+        inter = np.minimum(ends[rest], ends[i]) - np.maximum(starts[rest], starts[i])
+        union = lens[i] + lens[rest] - inter
+        valid = (lens[i] > 0) & (lens[rest] > 0) & (inter > 0) & (union != 0)
+        ovr = np.where(valid, inter / np.where(union == 0, 1.0, union), 0.0)
+        order = rest[ovr <= thres]
+    return S[keep]
+
+
+@pytest.mark.parametrize("thres", [0.0, 0.1, 0.5])
+def test_standard_nms_equals_greedy_reference(thres):
+    """Interval-bisection NMS keeps exactly the reference's rows, in its
+    order: score ties, nested boxes, zero and negative lengths, integer
+    and fractional coordinates."""
+    rng = np.random.RandomState(7)
+    for case in range(2000):
+        n = rng.randint(0, 40)
+        starts = rng.randint(0, 60, n).astype(float)
+        if case % 2:
+            starts += rng.rand(n)
+        lens = np.where(rng.rand(n) < 0.5,
+                        rng.choice([0.0, -3.0, 1.0, 2.5, 7.0, 20.0, 55.0], n),
+                        rng.randint(-5, 40, n))
+        scores = rng.choice([0.5, 1.0, 1.5, 2.0], n) if case % 3 else rng.rand(n)
+        S = np.column_stack([starts, starts + lens, scores]).reshape(-1, 3)
+        nested = S[: n // 3].copy()  # shrunk copies: nested boxes, equal scores
+        nested[:, 0] += 1.0
+        nested[:, 1] -= 1.0
+        S = np.vstack([S, nested])
+        got = standard_nms(S.copy(), thres)
+        want = _greedy_nms_reference(S.copy(), thres)
+        assert got.shape == want.shape and (got == want).all(), (case, S.tolist())
