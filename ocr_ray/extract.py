@@ -96,6 +96,7 @@ def propose_spans(
     # ((s*g0 + acc*p0)/tot is inexact even for g == p). The region sum
     # stays numpy's pairwise sum.
     proposals: list[list[float]] = []
+    box = None  # runs continue across regions: NMS sees them adjacent too
     for rs, re_ in regions:
         members = units[rs : re_ + 1]
         text_size = sum(u.end - u.start for u in members)
@@ -103,7 +104,6 @@ def propose_spans(
             counters["drop_min_text_size"] = counters.get("drop_min_text_size", 0) + 1
             continue
         score_sum = float(scores[rs : re_ + 1].sum())
-        box = None
         for u in members:
             if box is not None and box[0] == u.geo_start and box[1] == u.geo_end:
                 box[2] = score_sum + box[2]

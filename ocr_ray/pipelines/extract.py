@@ -5,33 +5,33 @@ Engine shape (SURVEY.md §3.1 "Engine shape"):
     read_parquet(turns, pruned columns)
       -> map_batches(extract_batch_counted, task pool)  # fused score/propose/decode
       -> materialize spans
-      -> reconcile_sorted: per-turn span counts -> per-turn offsets ->
-         span_seq = offset + span_idx, the per-conversation global span
-         ordinal (O2 analog), appended by a map fused into the write
+      -> reconcile_sorted: per-conversation global span ordinal span_seq
+         (O2 analog). Below LOCAL_ROW_LIMITS["reconcile"] spans it is
+         per-turn offset + span_idx, the offsets computed on the driver
+         and appended by a map fused into the write; above it ONE range
+         sort (conv_id, turn_idx, span_idx) + the shared carry-scan
       -> write_parquet(partitioned, resumable)
 
-The extractor stage is the only payload-heavy stage. Reconciliation never
-sorts or shuffles span rows: only one count per turn is computed,
-combined and prefix-summed, so a skewed mega-conversation is one count
-row per turn. Small jobs run as two Ray Data executions (extract +
-materialize, then assign + write).
+The extractor stage is the only payload-heavy stage. A job below the
+reconcile limit runs as two Ray Data executions (extract + materialize,
+then assign + write) and sorts no span row; above it the sort is the one
+wide operation, and a skewed mega-conversation just spans more sorted
+blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
 
-from ..stages.carry_scan import cluster_cpus, run_starts
+from ..stages.carry_scan import cluster_cpus, group_ordinal_scan, run_starts
 from ..stages.extractor import SPAN_SCHEMA, extract_batch_counted
-from ..stages.partial_agg import add_hash_bucket, local_table
-from .joins import bucket_hash_join
+from ..stages.partial_agg import local_table
 
 __all__ = [
     "read_turns",
@@ -39,7 +39,6 @@ __all__ = [
     "extract_with_metrics",
     "extract_metrics_totals",
     "split_counted_spans",
-    "turn_counts",
     "turn_offsets",
     "reconcile_sorted",
     "run_extraction",
@@ -273,22 +272,20 @@ def extract_metrics_totals(
     )
 
 
-def turn_offsets(counts: pa.Table) -> pa.Table:
-    """Per-turn span offsets from partial span counts.
+def turn_offsets(spans: pa.Table) -> pa.Table:
+    """Per-turn span offsets of the span rows ``spans``.
 
-    ``counts`` holds :func:`turn_counts` rows, any number per turn (one
-    per span block that holds the turn). Sums them per
-    ``(conv_id, turn_idx)``, sorts the turns, and returns
-    ``(conv_id, turn_idx, offset)``: the number of spans in the
-    conversation's earlier turns (an exclusive cumsum reset at every
+    Counts the spans of every ``(conv_id, turn_idx)``, sorts the turns,
+    and returns ``(conv_id, turn_idx, offset)``: the number of spans in
+    the conversation's earlier turns (an exclusive cumsum reset at every
     conversation). Raises ``ValueError`` when a turn's span count is not
     its largest ``span_idx`` + 1: ``span_seq`` = offset + ``span_idx``
     then would not be dense."""
-    g = counts.group_by(["conv_id", "turn_idx"], use_threads=False).aggregate(
-        [("n", "sum"), ("max_idx", "max")]
+    g = spans.group_by(["conv_id", "turn_idx"], use_threads=False).aggregate(
+        [("span_idx", "count"), ("span_idx", "max")]
     ).sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    n = g["n_sum"].to_numpy()
-    bad = np.flatnonzero(n != g["max_idx_max"].to_numpy() + 1)
+    n = g["span_idx_count"].to_numpy()
+    bad = np.flatnonzero(n != g["span_idx_max"].to_numpy() + 1)
     if len(bad):
         raise ValueError(
             f"span_idx is not dense 0..k-1 in {len(bad)} turn(s), e.g. "
@@ -301,21 +298,8 @@ def turn_offsets(counts: pa.Table) -> pa.Table:
                      "offset": pa.array(before - first, pa.int64())})
 
 
-def turn_counts(spans: pa.Table) -> pa.Table:
-    """Partial counts of one span block for :func:`turn_offsets`: per
-    ``(conv_id, turn_idx)``, its span count ``n`` and largest
-    ``span_idx``."""
-    g = spans.group_by(["conv_id", "turn_idx"], use_threads=False).aggregate(
-        [("span_idx", "count"), ("span_idx", "max")]
-    )
-    return pa.table({"conv_id": g["conv_id"], "turn_idx": g["turn_idx"],
-                     "n": g["span_idx_count"], "max_idx": g["span_idx_max"]})
-
-
-def _with_seq(spans: pa.Table, offset) -> pa.Table:
-    """``spans`` plus ``span_seq`` = its turn's ``offset`` + ``span_idx``."""
-    seq = pc.add(pc.cast(offset, pa.int64()), pc.cast(spans["span_idx"], pa.int64()))
-    return spans.append_column("span_seq", seq)
+def _with_seq(spans: pa.Table, seq) -> pa.Table:
+    return spans.append_column("span_seq", pa.array(seq, pa.int64()))
 
 
 def reconcile_sorted(spans: rd.Dataset) -> rd.Dataset:
@@ -323,58 +307,43 @@ def reconcile_sorted(spans: rd.Dataset) -> rd.Dataset:
     each span gets ``span_seq``, its 0-based ordinal within its
     conversation under stable (turn_idx, span_idx) order.
 
-    No span row is sorted or moved: ``span_idx`` runs 0..k-1 within a
-    turn, so ``span_seq`` = (spans in the conversation's earlier turns) +
-    ``span_idx``, and only one offset per turn is computed
-    (:func:`turn_offsets`). Below ``LOCAL_ROW_LIMITS["reconcile"]`` span
-    rows the driver computes the offsets from the key columns of the
-    materialized spans, and one map task per block joins them back (fused
-    with whatever consumes the result, e.g. the write). At or above it,
-    per-block partial counts are grouped by a hash bucket of ``conv_id``
-    (whole conversations per group), so a mega-conversation is one count
-    row per turn rather than a hot sort key, and the offsets return
-    through the bucket join. Output rows keep no global order; a job
-    without spans returns 0 rows that still carry ``span_seq``."""
+    Below ``LOCAL_ROW_LIMITS["reconcile"]`` span rows no span row is
+    sorted or moved: ``span_idx`` runs 0..k-1 within a turn, so
+    ``span_seq`` = (spans in the conversation's earlier turns) +
+    ``span_idx``. The driver pulls the materialized span blocks whole
+    (text included; on one node a zero-copy object-store read), keeps
+    their key columns, computes one offset per turn
+    (:func:`turn_offsets`), and one map task per block joins the offsets
+    back, fused with whatever consumes the result (e.g. the write). At or
+    above the limit, ONE range sort on (conv_id, turn_idx, span_idx) and
+    the shared carry-scan
+    (:func:`ocr_ray.stages.carry_scan.group_ordinal_scan`) number the
+    spans with O(blocks) driver state; a mega-conversation just spans
+    more sorted blocks. Output rows keep no global order on the local
+    branch; a job without spans returns 0 rows that still carry
+    ``span_seq``."""
     spans = spans.materialize()
     keys = local_table(spans, "reconcile", SPAN_KEYS)
-    sch = spans.schema()  # None when no block is typed
-    types = dict(zip(sch.names, sch.types)) if sch else dict(
-        zip(SPAN_SCHEMA.names, SPAN_SCHEMA.types))
     if spans.count() == 0:
-        empty = pa.schema(types.items()).empty_table()
-        return rd.from_arrow(_with_seq(empty, pa.array([], pa.int64())))
-    if keys is not None:
-        ref = ray.put(turn_offsets(turn_counts(keys)))
-
-        def assign(t: pa.Table) -> pa.Table:
-            rows = t.select(["conv_id", "turn_idx"]).append_column(
-                "__row", pa.array(np.arange(t.num_rows)))
-            j = rows.join(ray.get(ref), ["conv_id", "turn_idx"], use_threads=False)
-            offset = np.empty(t.num_rows, np.int64)
-            offset[j["__row"].to_numpy()] = j["offset"].to_numpy()
-            return _with_seq(t, pa.array(offset))
-
-        return spans.map_batches(assign, batch_size=None, batch_format="pyarrow")
-    # whole conversations per group: one kernel call per hash bucket of
-    # conv_id, not one per conversation
-    nb = cluster_cpus()
-    offsets = (
-        spans.map_batches(
-            lambda t: add_hash_bucket(turn_counts(t), ["conv_id"], nb),
-            batch_size=None, batch_format="pyarrow",
+        sch = spans.schema()  # None when no block is typed
+        empty = (pa.schema(list(zip(sch.names, sch.types))) if sch
+                 else SPAN_SCHEMA).empty_table()
+        return rd.from_arrow(_with_seq(empty, []))
+    if keys is None:
+        return group_ordinal_scan(
+            spans, ["conv_id", "turn_idx", "span_idx"], _with_seq
         )
-        .groupby("bucket")
-        .map_groups(turn_offsets, batch_format="pyarrow")
-    )
-    joined = bucket_hash_join(
-        spans, offsets, on=["conv_id", "turn_idx"], n_buckets=nb, left_dtypes=types,
-        right_dtypes={"conv_id": types["conv_id"], "turn_idx": types["turn_idx"],
-                      "offset": pa.int64()},
-    )
-    return joined.map_batches(
-        lambda t: _with_seq(t.drop(["offset"]), t["offset"]),
-        batch_format="pyarrow",
-    )
+    ref = ray.put(turn_offsets(keys))
+
+    def assign(t: pa.Table) -> pa.Table:
+        rows = t.select(["conv_id", "turn_idx"]).append_column(
+            "__row", pa.array(np.arange(t.num_rows)))
+        j = rows.join(ray.get(ref), ["conv_id", "turn_idx"], use_threads=False)
+        seq = np.empty(t.num_rows, np.int64)
+        seq[j["__row"].to_numpy()] = j["offset"].to_numpy()
+        return _with_seq(t, seq + t["span_idx"].to_numpy())
+
+    return spans.map_batches(assign, batch_size=None, batch_format="pyarrow")
 
 
 def run_extraction(

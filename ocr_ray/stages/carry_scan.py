@@ -11,9 +11,10 @@ Sorted blocks are disjoint key ranges, so a block's first-row key both
 names the block and orders it — no ``preserve_order`` needed. Callers'
 key sets are unique per row, so first-row keys never collide.
 
-Used by the global ranks and running minimum of the training replay and
-the rank-based relational queries (quantile picks, global decile, Pareto
-crossing).
+Used by span reconciliation above its local row limit
+(``reconcile_sorted``), the global ranks and running minimum of the
+training replay, and the rank-based relational queries (quantile picks,
+global decile, Pareto crossing).
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ __all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
 # on one Arrow table instead of its distributed plan: on inputs this small
 # the distributed plan's dataset executions and exchanges are pure fixed
 # overhead. The graph limits count edges, SemDeDup's vectors, BPE's
-# distinct words, reconcile extracted spans, the rest input rows. Tests force the distributed plan
-# by setting a limit to 0.
+# distinct words, reconcile extracted spans, the rest input rows. Tests
+# force the distributed plan by setting a limit to 0.
 LOCAL_ROW_LIMITS = {
     "triangles": 20_000,
     "bfs": 20_000,

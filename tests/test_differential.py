@@ -36,26 +36,24 @@ def independent_propose(units, scores):
             cur = [i, i]
     groups.append(tuple(cur))
 
+    # one proposal per run of consecutive members (of kept regions) sharing
+    # a block: the exact block bounds, scored with each member's region sum
+    # added once per member
     proposals = []
+    last = None
     for lo, hi in groups:
         members = list(range(lo, hi + 1))
         if sum(units[i].end - units[i].start for i in members) < C.MIN_TEXT_SIZE:
             continue
         ssum = float(np.sum(np.asarray([scores[i] for i in members])))
-        # one proposal per run of members sharing a block: the exact block
-        # bounds, scored with the region sum once per member
-        runs = []
         for i in members:
             box = (units[i].geo_start, units[i].geo_end)
-            if runs and runs[-1][0] == box:
-                runs[-1][1] += 1
+            if box == last:
+                gs, ge, total = proposals[-1]
+                proposals[-1] = (gs, ge, ssum + total)
             else:
-                runs.append([box, 1])
-        for (gs, ge), k in runs:
-            total = ssum
-            for _ in range(k - 1):
-                total = ssum + total
-            proposals.append((float(gs), float(ge), total))
+                proposals.append((float(box[0]), float(box[1]), ssum))
+                last = box
     if not proposals:
         return []
 

@@ -252,6 +252,18 @@ def test_plain_paragraph_span_starts_at_block_start():
     assert spans[0]["text"] == "; column y2 row & plan table"
 
 
+def test_paragraph_split_by_ignore_lines_starts_at_block_start():
+    # two score-0 "###" lines split the paragraph into two regions that
+    # propose the same block [5, 68); merging the two regions' boxes by
+    # weighted average once drifted the start to 4
+    text = "cya\n\n@ . alpha the\n... x3 ;\n### alpha q\n### q plan\ny2\nab1 alpha plan"
+    units = segment(text, "plain")
+    assert [u.ignore for u in units[1:]] == [False, False, True, True, False, False]
+    assert {(u.geo_start, u.geo_end) for u in units[1:]} == {(5, 68)}
+    spans = extract_turn(text)
+    assert [(s["start"], s["end"]) for s in spans] == [(5, 68)]
+
+
 def test_html_spans_never_end_in_a_partial_entity():
     # a span end one char short of its block cut "&quot;" to "&quot"
     # (conv-00000372 turn 1 ended in `"customer&quot`)

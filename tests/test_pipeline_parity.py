@@ -33,8 +33,8 @@ def _golden(turns_path: str) -> pd.DataFrame:
 @pytest.mark.parametrize("local", [True, False])
 def test_pipeline_matches_oracle(ray_session, turns_path, local, monkeypatch):
     """``local``: reconcile's per-turn offsets are computed on the driver;
-    otherwise (limit forced to 0) from per-block partial counts grouped by
-    conversation and joined back through the bucket join."""
+    otherwise (limit forced to 0) the spans are range-sorted and numbered
+    by the carry-scan."""
     import ray.data as rd
 
     from ocr_ray.pipelines.extract import extract_spans, reconcile_sorted
@@ -138,8 +138,8 @@ def test_parity_at_sf_scale(ray_session):
 
 def test_single_conversation_worst_case_skew(ray_session, tmp_path, monkeypatch):
     """Degenerate skew: the ENTIRE corpus is one conversation, so the
-    distributed reconcile groups every partial count under one key;
-    span_seq must stay dense."""
+    distributed reconcile's sort puts every span under one key; span_seq
+    must stay dense."""
     import pyarrow as pa
     import pyarrow.parquet as pq2
 
@@ -274,9 +274,9 @@ def test_extract_metrics_counters(ray_session):
 def test_reconcile_sorted_boundary_walk_stress(ray_session, monkeypatch):
     """Adversarial shapes for reconcile_sorted: conv sizes chosen so that
     conversations and turns end exactly at, straddle, and fully span the
-    input's block boundaries (a turn's spans then sit in several blocks,
-    so partial counts must combine), over several block counts, on both
-    branches. Ground truth is a pandas groupby cumcount."""
+    input's block boundaries (a turn's spans then sit in several blocks),
+    over several block counts, on both branches. Ground truth is a pandas
+    groupby cumcount."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -386,13 +386,13 @@ def test_reconcile_rejects_sparse_span_idx(ray_session):
     span_idx runs 0..k-1; a gap is an error, not a silent hole."""
     import pyarrow as pa
 
-    from ocr_ray.pipelines.extract import turn_counts, turn_offsets
+    from ocr_ray.pipelines.extract import turn_offsets
 
     spans = pa.table({"conv_id": ["c", "c", "c"],
                       "turn_idx": pa.array([0, 0, 1], pa.int32()),
                       "span_idx": pa.array([0, 2, 0], pa.int32())})
     with pytest.raises(ValueError, match="not dense"):
-        turn_offsets(turn_counts(spans))
-    dense = turn_offsets(turn_counts(spans.slice(1).set_column(
-        2, "span_idx", pa.array([0, 0], pa.int32()))))
+        turn_offsets(spans)
+    dense = turn_offsets(spans.slice(1).set_column(
+        2, "span_idx", pa.array([0, 0], pa.int32())))
     assert dense.column("offset").to_pylist() == [0, 1]

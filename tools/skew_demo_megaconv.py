@@ -3,10 +3,9 @@
 One conversation with >1M spans — the 10^12-turn corpus's worst skew
 shape: a single conv_id that is orders of magnitude larger than the
 median — pushed through ``reconcile_sorted`` on both of its branches:
-the driver-local offsets (limit raised above the row count) and the
-distributed one (limit forced to 0), where per-block partial counts are
-grouped by conversation, so the mega conversation is one count row per
-turn, never a hot group of span rows.
+the driver-local offsets (limit raised above the row count), where the
+mega conversation is one offset per turn, and the distributed range sort
+plus carry-scan (limit forced to 0), where it spans many sorted blocks.
 
 Asserts, per branch, that span_seq equals a pandas
 ``groupby("conv_id").cumcount()`` truth row-for-row and that the mega
