@@ -464,67 +464,46 @@ def _q_extract_nested(sf_dir: str):
     return nested.select_columns(["conv_id", "turn_idx", "turn_text"])
 
 
-def _docs_as_turns(sf_dir: str):
-    """documents table reshaped to the turn schema (doc_id is the conv key,
-    single turn 0) — the plain-payload path whose extraction is closed-form
-    on single-line word-space docs (the extract_docs oracle pattern)."""
+def _finish_docs(ds, columns: list[str]):
+    """Project turn-keyed unit or span rows back to the documents key
+    space: conv_id becomes the int64 doc_id, followed by ``columns`` in
+    the extractor's unit/span types (shared by every documents-as-turns
+    query)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    import ray.data as rd
+    from ocr_ray.stages.extractor import SPAN_SCHEMA, UNIT_SCHEMA
 
-    docs = _read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-
-    def as_turns(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.Table.from_arrays(
-            [pc.cast(t["doc_id"], pa.string()),
-             pa.array([0] * t.num_rows, pa.int32()),
-             t["text"].combine_chunks()],
-            names=["conv_id", "turn_idx", "text"],
-        )
-
-    return docs.map_batches(as_turns, batch_format="pyarrow")
-
-
-def _finish_doc_units(units):
-    """Project the unit/score stream to the doc-keyed oracle schema
-    (shared by the plain and html unit queries)."""
-    import pyarrow as pa
+    types = {f.name: f.type for f in (*UNIT_SCHEMA, *SPAN_SCHEMA)}
 
     def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.Table.from_arrays(
             [pc.cast(t["conv_id"], pa.int64()),
-             t["unit_idx"].combine_chunks(),
-             t["start"].combine_chunks(), t["end"].combine_chunks(),
-             t["geo_start"].combine_chunks(), t["geo_end"].combine_chunks(),
-             t["tag"].combine_chunks(), t["score"].combine_chunks()],
-            names=["doc_id", "unit_idx", "start", "end",
-                   "geo_start", "geo_end", "tag", "score"],
+             *(pc.cast(t[c], types[c]) for c in columns)],
+            names=["doc_id", *columns],
         )
 
-    return units.map_batches(finish, batch_format="pyarrow")
+    return ds.map_batches(finish, batch_format="pyarrow")
+
+
+_UNIT_COLUMNS = ["unit_idx", "start", "end", "geo_start", "geo_end", "tag", "score"]
+_SPAN_COLUMNS = ["span_idx", "start", "end", "text", "score"]
 
 
 def _q_extract_units_docs(sf_dir: str):
     """Dense unit/score table over the documents table (A1 analog on the
     plain path) — SQL-verifiable: one unit per doc with the exact
     tag-weight/density score formula replicated in the oracle."""
-    import pyarrow as pa
-
     from ocr_ray.stages.extractor import UnitScorer
     from ocr_ray.stages.normalize import normalize_batch
 
     units = (
-        _docs_as_turns(sf_dir)
+        _wrapped_docs_as_turns(sf_dir, "", "", "")
         .map_batches(normalize_batch, batch_format="pyarrow")
         .map_batches(UnitScorer, batch_format="pyarrow", concurrency=(1, 8))
     )
 
-    return _finish_doc_units(units)
+    return _finish_docs(units, _UNIT_COLUMNS)
 
 
 # fixed entity-free boilerplate template for the html-path SQL twin: a nav
@@ -537,10 +516,12 @@ _HTML_WRAP_SUFFIX = '</p><a href="#">more link</a></body></html>'
 
 
 def _wrapped_docs_as_turns(sf_dir: str, prefix: str, suffix: str, forbid: str):
-    """documents reshaped to the turn schema with each text riding a
-    fixed payload template. Rows whose text contains any char of
-    ``forbid`` (which would change the parse) or is empty are filtered —
-    each SQL twin filters identically."""
+    """documents reshaped to the turn schema (doc_id is the conv key,
+    single turn 0) with each text riding a fixed payload template. Rows
+    whose text contains any char of ``forbid`` (which would change the
+    parse) or is empty are filtered — each SQL twin filters identically.
+    The empty template (``"", "", ""``) is the plain-payload input; an
+    empty text yields no unit or span there either."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -570,23 +551,6 @@ def _wrapped_docs_as_turns(sf_dir: str, prefix: str, suffix: str, forbid: str):
     return docs.map_batches(wrap, batch_format="pyarrow")
 
 
-def _finish_doc_spans(spans):
-    """Project turn-keyed span rows back to the documents key space."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pc.cast(t["conv_id"], pa.int64()),
-             pc.cast(t["span_idx"], pa.int32()),
-             t["start"].combine_chunks(), t["end"].combine_chunks(),
-             t["text"].combine_chunks(), t["score"].combine_chunks()],
-            names=["doc_id", "span_idx", "start", "end", "text", "score"],
-        )
-
-    return spans.map_batches(finish, batch_format="pyarrow")
-
-
 def _q_extract_units_html(sf_dir: str):
     """HTML-path unit scorer with a closed-form SQL twin (the
     extract_units_docs pattern extended past the plain path): each
@@ -594,9 +558,6 @@ def _q_extract_units_html(sf_dir: str):
     the quote-aware tokenizer's block stack, the inline-<a> link-density
     mask, and the tag-weight scoring are all driver-verified on real html
     markup (reference DetectUtil.py:127-216 conformance)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from ocr_ray.stages.extractor import UnitScorer
     from ocr_ray.stages.normalize import normalize_batch
 
@@ -606,7 +567,7 @@ def _q_extract_units_html(sf_dir: str):
         .map_batches(UnitScorer, batch_format="pyarrow", concurrency=(1, 8))
     )
 
-    return _finish_doc_units(units)
+    return _finish_docs(units, _UNIT_COLUMNS)
 
 
 def _q_extract_docs_html(sf_dir: str):
@@ -621,12 +582,13 @@ def _q_extract_docs_html(sf_dir: str):
     test_img.py:78-132 conformance on markup payloads)."""
     from ocr_ray.pipelines.extract import extract_spans
 
-    return _finish_doc_spans(
+    return _finish_docs(
         extract_spans(
             _wrapped_docs_as_turns(
                 sf_dir, _HTML_WRAP_PREFIX, _HTML_WRAP_SUFFIX, "<&"
             )
-        )
+        ),
+        _SPAN_COLUMNS,
     )
 
 
@@ -646,10 +608,11 @@ def _q_extract_docs_pdfish(sf_dir: str):
     DetectUtil.py:201-203 ordering + decode)."""
     from ocr_ray.pipelines.extract import extract_spans
 
-    return _finish_doc_spans(
+    return _finish_docs(
         extract_spans(
             _wrapped_docs_as_turns(sf_dir, _PDFISH_WRAP_PREFIX, "", "\n")
-        )
+        ),
+        _SPAN_COLUMNS,
     )
 
 
@@ -657,24 +620,11 @@ def _q_extract_propose_docs(sf_dir: str):
     """Propose/NMS/order stage over the documents table (M4-M8 + D1/D2 on
     the plain path) — SQL-verifiable: threshold, text-size gate and the
     length-weighted mean rescore are closed-form per doc."""
-    import pyarrow as pa
-
     from ocr_ray.stages.extractor import propose_only
 
-    spans = _docs_as_turns(sf_dir).map_batches(propose_only, batch_format="pyarrow")
-
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.Table.from_arrays(
-            [pc.cast(t["conv_id"], pa.int64()),
-             pc.cast(t["span_idx"], pa.int32()),
-             pc.cast(t["start"], pa.int64()), pc.cast(t["end"], pa.int64()),
-             pc.cast(t["score"], pa.float64())],
-            names=["doc_id", "span_idx", "start", "end", "score"],
-        )
-
-    return spans.map_batches(finish, batch_format="pyarrow")
+    spans = _wrapped_docs_as_turns(sf_dir, "", "", "").map_batches(
+        propose_only, batch_format="pyarrow")
+    return _finish_docs(spans, ["span_idx", "start", "end", "score"])
 
 
 def _q_docs_sample(sf_dir: str):
@@ -899,9 +849,9 @@ def _q_extract_metrics(sf_dir: str):
     """Drop/dead-letter counter rollup over the transcript corpus
     (reason, total) — every deterministic drop in the chain is logged.
 
-    Harvested from the SINGLE streaming production pass: counter
-    partials ride the dataflow as one tagged row per batch (no actor
-    RPC, nothing materialized) — the chain runs once, not twice."""
+    One streaming pass of the extractor's counter form
+    (``metrics_batch``), its (reason, count) rows summed on the driver;
+    nothing is materialized and the chain runs once."""
     import pandas as pd
 
     from ocr_ray.corpus import ensure_transcripts
@@ -925,7 +875,9 @@ def _q_extract_docs(sf_dir: str):
     span, score 1.0, CTC-collapsed token text)."""
     from ocr_ray.pipelines.extract import extract_spans
 
-    return _finish_doc_spans(extract_spans(_docs_as_turns(sf_dir)))
+    return _finish_docs(
+        extract_spans(_wrapped_docs_as_turns(sf_dir, "", "", "")), _SPAN_COLUMNS
+    )
 
 
 _BM25_TERMS = ["scan", "merge", "window"]

@@ -47,7 +47,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _ensure_ray()
     from .pipelines.extract import extract_metrics_totals, read_turns
 
-    # one streaming production pass: counter partials ride the dataflow
+    # one streaming pass of the extractor's counter form, folded here
     totals = extract_metrics_totals(read_turns(args.input))
     print(json.dumps({k: int(v) for k, v in sorted(totals.items())}))
     return 0

@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..stages.partial_agg import local_table
+from ..stages.partial_agg import local_table, pin_empty, to_pandas_typed
 from .dedup import _COS_DECIMALS
 
 __all__ = ["default_queries", "knn_brute", "knn_ivf", "kmeans_assign",
@@ -63,7 +63,8 @@ def _lowest_ids(embs: rd.Dataset, n: int) -> pd.DataFrame:
         idx = pc.select_k_unstable(batch, k, [("vec_id", "ascending")])
         return batch.take(idx)
 
-    head = embs.map_batches(partial, batch_format="pyarrow").to_pandas()
+    head = to_pandas_typed(embs.map_batches(partial, batch_format="pyarrow"),
+                           {"vec_id": "int64", "embedding": "object"})
     return head.sort_values("vec_id", kind="mergesort").head(n).reset_index(drop=True)
 
 
@@ -301,7 +302,9 @@ def embedding_dim_stats(ds: rd.Dataset) -> "pd.DataFrame":  # noqa: F821
              "n": np.full(d, mat.shape[0], dtype=np.int64)}
         )
 
-    part = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    part = to_pandas_typed(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        {"dim": "int64", "vmin": "float64", "vmax": "float64", "n": "int64"})
     out = part.groupby("dim", as_index=False).agg(
         vmin=("vmin", "min"), vmax=("vmax", "max"), n=("n", "sum")
     )
@@ -395,6 +398,8 @@ def semdedup(
         return rd.from_arrow(out)
 
     sample = _lowest_ids(embs, train_sample)
+    if not len(sample):
+        return rd.from_arrow(_SEMDEDUP_OUT.empty_table())
     train = _unit(np.array(sample["embedding"].tolist(), dtype=np.float64))
     cref = ray.put(train_centroids(train, n_clusters, 10))
 
@@ -507,7 +512,8 @@ def embedding_quantize(ds: rd.Dataset) -> rd.Dataset:
         return rd.from_arrow(enc_of(mn, rng)(full))
 
     mn, rng = stats_to_rng(embedding_dim_stats(ds))
-    return ds.map_batches(enc_of(mn, rng), batch_format="pyarrow")
+    return pin_empty(ds.map_batches(enc_of(mn, rng), batch_format="pyarrow"),
+                     _QUANT_OUT)
 
 
 # --- distributed PCA (covariance + projection) -----------------------------
@@ -576,8 +582,9 @@ def _pca_moments(ds: rd.Dataset) -> "pd.DataFrame":
         ds.map_batches(_cov_moment_rows, batch_format="pyarrow"),
         keys=["dim_i", "dim_j"], sum_cols=["v"], n_buckets=16,
     )
-    out = summed.to_pandas()
-    return out[["dim_i", "dim_j", "v"]]
+    return to_pandas_typed(
+        summed, {"dim_i": "int64", "dim_j": "int64", "v": "float64"}
+    )[["dim_i", "dim_j", "v"]]
 
 
 def embedding_covariance(ds: rd.Dataset) -> "pd.DataFrame":

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.partial_agg import contiguous_array, local_table, split_ws
+from ..stages.partial_agg import contiguous_array, local_table, pin_empty, split_ws
 
 __all__ = [
     "token_stats_batch",
@@ -404,6 +404,8 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
 # between the engine's partial block sums and SQL's SUM is ~1e-13 bits,
 # invisible at 4 dp
 _NLL_DECIMALS = 4
+_NLL_OUT = pa.schema([("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
+                      ("nll_bits", pa.float64())])
 
 
 def bigram_nll(docs):
@@ -503,10 +505,7 @@ def bigram_nll(docs):
         bgt = bigrams_of(full).to_pandas()
         v = len(pc.unique(uni_of(full).column("tok")))
         if not len(bgt):
-            return rd.from_arrow(pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "n_bigrams": pa.array([], pa.int64()),
-                 "nll_bits": pa.array([], pa.float64())}))
+            return rd.from_arrow(_NLL_OUT.empty_table())
         nb = bgt.groupby("big")["doc_id"].size()
         ncx = bgt.groupby("w1")["doc_id"].size()
         term = (np.log2(ncx.loc[bgt["w1"]].to_numpy() + float(v))
@@ -578,11 +577,7 @@ def bigram_nll(docs):
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         if "doc_id" not in df.columns or not len(df):
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "n_bigrams": pd.Series([], dtype="int64"),
-                 "nll_bits": pd.Series([], dtype="float64")}
-            )
+            return _NLL_OUT.empty_table().to_pandas()
         return pd.DataFrame(
             {"doc_id": df["doc_id"].astype("int64"),
              "n_bigrams": df["one"].astype("int64"),
@@ -591,7 +586,7 @@ def bigram_nll(docs):
                  _NLL_DECIMALS)}
         )
 
-    return per_doc.map_batches(finish, batch_format="pandas")
+    return pin_empty(per_doc.map_batches(finish, batch_format="pandas"), _NLL_OUT)
 
 
 _ENTROPY_DECIMALS = 4
@@ -740,6 +735,8 @@ def gopher_rules_batch(batch: pa.Table) -> pa.Table:
 
 _DSIR_BUCKETS = 256
 _DSIR_DECIMALS = 4
+_DSIR_OUT = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+                       ("dsir_logratio", pa.float64())])
 
 
 def _token_buckets(batch: pa.Table):
@@ -853,15 +850,11 @@ def dsir_logratio(docs, target_lang: str = "en"):
     )
 
     def score_of(t: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {"doc_id": pa.array([], pa.int64()),
-             "n_tokens": pa.array([], pa.int64()),
-             "dsir_logratio": pa.array([], pa.float64())})
         if t.num_rows == 0:
-            return empty
+            return _DSIR_OUT.empty_table()
         row, b = _token_buckets(t)
         if len(row) == 0:
-            return empty
+            return _DSIR_OUT.empty_table()
         nrows = t.num_rows
         key = row * np.int64(B) + b
         uk, cnt = np.unique(key, return_counts=True)
@@ -876,7 +869,7 @@ def dsir_logratio(docs, target_lang: str = "en"):
 
     if local_tab is not None:
         return rd.from_arrow(score_of(local_tab))
-    return docs.map_batches(score_of, batch_format="pyarrow")
+    return pin_empty(docs.map_batches(score_of, batch_format="pyarrow"), _DSIR_OUT)
 
 
 # --- PMI collocations -------------------------------------------------------
@@ -1200,6 +1193,9 @@ def ppl_buckets(docs, langs, k: int = _PPL_BUCKETS):
 # --- TF-IDF keywords -------------------------------------------------------
 
 _TFIDF_DECIMALS = 4
+_TFIDF_OUT = pa.schema([("doc_id", pa.int64()), ("tok", pa.string()),
+                        ("tf", pa.int64()), ("df", pa.int64()),
+                        ("score", pa.float64()), ("rank", pa.int64())])
 
 
 def tfidf_topk(docs, n: int = 3):
@@ -1254,18 +1250,10 @@ def tfidf_topk(docs, n: int = 3):
 
         from ..stages.partial_agg import from_pandas as _fp
 
-        empty = pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "tok": pd.Series([], dtype="object"),
-            "tf": pd.Series([], dtype="int64"),
-            "df": pd.Series([], dtype="int64"),
-            "score": pd.Series([], dtype="float64"),
-            "rank": pd.Series([], dtype="int64"),
-        })
         n_docs = float(full.num_rows)
         tfl = tf_of(full).to_pandas()
         if not len(tfl):
-            return rd.from_arrow(_fp(empty))
+            return rd.from_arrow(_TFIDF_OUT.empty_table())
         dfl = tfl.groupby("tok")["doc_id"].size()
         tfl["df"] = dfl.loc[tfl["tok"]].to_numpy(np.int64)
         tfl["score"] = np.round(
@@ -1301,13 +1289,13 @@ def tfidf_topk(docs, n: int = 3):
         )
         return df
 
-    return grouped_topn(
+    return pin_empty(grouped_topn(
         joined, "doc_id", ["score", "tok"], [False, True], n,
         payload_cols=["doc_id", "tok", "tf", "df", "score"],
         out_dtypes={"doc_id": "int64", "tok": "object", "tf": "int64",
                     "df": "int64", "score": "float64"},
         prep=score_of,
-    )
+    ), _TFIDF_OUT)
 
 
 # --- per-source KL divergence ----------------------------------------------

@@ -10,7 +10,13 @@ Engine shape (SURVEY.md §3.1 "Engine shape"):
          per-turn offset + span_idx, the offsets computed on the driver
          and appended by a map fused into the write; above it ONE range
          sort (conv_id, turn_idx, span_idx) + the shared carry-scan
-      -> write_parquet(partitioned, resumable)
+      -> write_parquet
+
+Drop and dead-letter counters come from the same fused operator:
+:func:`extract_metrics_totals` maps ``metrics_batch`` (which wraps
+``extract_batch_counted``) over the turns and folds its (reason, count)
+rows on the driver. The resumable, per-partition layout is
+``ocr_ray.state.lineage.CheckpointedExtraction``.
 
 The extractor stage is the only payload-heavy stage. A job below the
 reconcile limit runs as two Ray Data executions (extract + materialize,
@@ -30,21 +36,23 @@ import ray.data as rd
 from ..pqread import read_parquet as _read_parquet
 
 from ..stages.carry_scan import cluster_cpus, group_ordinal_scan, run_starts
-from ..stages.extractor import SPAN_SCHEMA, extract_batch_counted
+from ..stages.extractor import SPAN_SCHEMA, extract_batch_counted, metrics_batch
 from ..stages.partial_agg import local_table
 
 __all__ = [
+    "BATCH_ROWS",
     "read_turns",
     "extract_spans",
-    "extract_with_metrics",
     "extract_metrics_totals",
-    "split_counted_spans",
     "turn_offsets",
     "reconcile_sorted",
     "run_extraction",
 ]
 
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
+
+# turns per extractor batch
+BATCH_ROWS = 1024
 
 # the span columns reconciliation reads
 SPAN_KEYS = pa.schema([SPAN_SCHEMA.field(c) for c in ("conv_id", "turn_idx", "span_idx")])
@@ -100,42 +108,27 @@ def truncate_payloads(
     return turns.map_batches(trunc, batch_format="pyarrow")
 
 
-def write_spans_csv(spans: rd.Dataset, out_dir: str) -> None:
-    """CSV sink — the result.txt analog (S5, reference test_img.py:121-132
-    writes one CSV line per surviving box). Parquet is the primary sink;
-    this exists for reference-shaped consumers."""
-    spans.write_csv(out_dir)
-
-
-def read_turns(
-    path: str,
-    columns: list[str] | None = None,
-    num_blocks: int | None = None,
-    roles: list[str] | None = None,
-) -> rd.Dataset:
+def read_turns(path: str, roles: list[str] | None = None) -> rd.Dataset:
     """Pruned-at-the-read turn source (S1/S2 analog): only the columns the
     extraction chain needs leave storage.
 
-    ``num_blocks=None`` targets ~4 blocks per CPU: enough waves to
-    load-balance the heavy extract stage (payload cost varies ~2x between
-    html and plain turns) without paying per-task launch overhead on
-    hundreds of tiny blocks (measured sweep: 4x beats 8x at 32 CPUs).
+    With Ray initialized the read targets ~4 blocks per CPU: enough waves
+    to load-balance the heavy extract stage (payload cost varies ~2x
+    between html and plain turns) without paying per-task launch overhead
+    on hundreds of tiny blocks (measured sweep: 4x beats 8x at 32 CPUs).
 
     ``roles`` pushes a row filter down to the parquet row groups (e.g.
     extract only assistant turns without scanning user/tool payloads).
     """
-    if num_blocks is None and ray.is_initialized():
-        num_blocks = 4 * cluster_cpus()
-    kwargs = {"override_num_blocks": num_blocks} if num_blocks else {}
-    if roles is not None:
-        import pyarrow.compute as pc
+    kwargs = {}
+    if ray.is_initialized():
+        kwargs["override_num_blocks"] = 4 * cluster_cpus()
+    if roles is None:
+        return _read_parquet(path, columns=TURN_COLUMNS, **kwargs)
+    import pyarrow.compute as pc
 
-        kwargs["filter"] = pc.field("role").isin(roles)
-        cols = list(columns or TURN_COLUMNS)
-        if "role" not in cols:
-            cols.append("role")
-        return _read_parquet(path, columns=cols, **kwargs)
-    return _read_parquet(path, columns=columns or TURN_COLUMNS, **kwargs)
+    return _read_parquet(path, columns=TURN_COLUMNS + ["role"],
+                         filter=pc.field("role").isin(roles), **kwargs)
 
 
 def _extract_batch(batch: pa.Table) -> pa.Table:
@@ -146,130 +139,28 @@ def _extract_batch(batch: pa.Table) -> pa.Table:
     return extract_batch_counted(batch, {})
 
 
-def extract_spans(
-    turns: rd.Dataset,
-    *,
-    batch_size: int = 1024,
-    stats=None,
-) -> rd.Dataset:
+def extract_spans(turns: rd.Dataset) -> rd.Dataset:
     """Turns -> flat span rows via the fused extractor, as a stateless
-    task pool (fully elastic).
-
-    ``stats=True``: each batch then appends ONE counter-partial row
-    (turns_in, empty_payloads, error_rows, drop_*, spans_out as a JSON
-    string in the ``_counters`` column; null on real span rows) to its
-    output DURING the single production pass — metrics ride the dataflow
-    itself, no side-channel actor RPC in the hot loop (the r4 shape did a
-    synchronous ``ray.get(actor.add.remote())`` per batch: a round-trip
-    to ONE actor serialized into the hottest stage). Split the result
-    with :func:`split_counted_spans` (what ``extract_with_metrics``
-    does)."""
-    if stats:
-        import json as _json
-
-        def counted(batch: pa.Table) -> pa.Table:
-            counters: dict[str, int] = {
-                "turns_in": batch.num_rows,
-                "empty_payloads": 0,
-                "error_rows": 0,
-            }
-            out = extract_batch_counted(batch, counters)
-            counters["spans_out"] = out.num_rows
-            out = out.append_column(
-                "_counters", pa.nulls(out.num_rows, pa.string())
-            )
-            partial = pa.Table.from_pydict(
-                {
-                    **{
-                        c: pa.nulls(1, out.schema.field(c).type)
-                        for c in out.column_names
-                        if c != "_counters"
-                    },
-                    "_counters": pa.array([_json.dumps(counters)]),
-                },
-                schema=out.schema,
-            )
-            return pa.concat_tables([out, partial])
-
-        return turns.map_batches(
-            counted, batch_format="pyarrow", batch_size=batch_size
-        )
+    task pool (fully elastic)."""
     return turns.map_batches(
-        _extract_batch, batch_format="pyarrow", batch_size=batch_size
+        _extract_batch, batch_format="pyarrow", batch_size=BATCH_ROWS
     )
 
 
-def _sum_counter_partials(counted: rd.Dataset) -> dict[str, int]:
-    """Fold the ``_counters`` JSON partial rows of a ``stats=True``
-    extraction output into totals: project FIRST (zero-copy
-    single-column view), filter the ~1-in-1000 partial rows, sum
-    driver-side — O(batches), never O(rows); the pass never touches span
-    columns. The four headline counters always report, even at zero."""
-    import json as _json
-
-    import pyarrow.compute as pc
-
-    partials = counted.map_batches(
-        lambda t: t.select(["_counters"]).filter(pc.is_valid(t["_counters"])),
-        batch_format="pyarrow", batch_size=None,
-    ).take_all()
-    totals: dict[str, int] = {}
-    for row in partials:
-        for k, v in _json.loads(row["_counters"]).items():
-            totals[k] = totals.get(k, 0) + int(v)
-    for k in ("turns_in", "empty_payloads", "error_rows", "spans_out"):
-        totals.setdefault(k, 0)
+def extract_metrics_totals(turns: rd.Dataset) -> dict[str, int]:
+    """Drop and dead-letter counter totals of the extraction chain over
+    ``turns``: one streaming pass of ``metrics_batch`` (the production
+    extractor plus its counters, one (reason, count) row per counter and
+    batch), folded on the driver. The four headline counters always
+    report, even at zero."""
+    totals = dict.fromkeys(
+        ("turns_in", "empty_payloads", "error_rows", "spans_out"), 0)
+    partials = turns.map_batches(
+        metrics_batch, batch_format="pyarrow", batch_size=BATCH_ROWS
+    )
+    for row in partials.iter_rows():
+        totals[row["reason"]] = totals.get(row["reason"], 0) + row["count"]
     return totals
-
-
-def split_counted_spans(
-    counted: rd.Dataset,
-) -> tuple[rd.Dataset, dict[str, int]]:
-    """Split a ``stats=True`` extraction output into (span rows, counter
-    totals): totals via :func:`_sum_counter_partials`; the span view is
-    a lazy vectorized filter + drop over the already-materialized
-    blocks."""
-    import pyarrow.compute as pc
-
-    totals = _sum_counter_partials(counted)
-    spans = counted.map_batches(
-        lambda t: t.filter(pc.is_null(t["_counters"])).drop(["_counters"]),
-        batch_format="pyarrow",
-    )
-    return spans, totals
-
-
-def extract_with_metrics(
-    turns: rd.Dataset, *, batch_size: int = 1024
-) -> tuple[rd.Dataset, dict[str, int]]:
-    """ONE production pass that yields both the span Dataset and the full
-    drop/dead-letter counter totals — replaces the former second audit
-    run of the whole chain (the old extract_metrics shape doubled the
-    most expensive stage). Counter partials ride the dataflow as one
-    tagged row per batch (see ``extract_spans(stats=True)``), so the hot
-    stage makes zero actor round-trips (VERDICT r4 item 4; the prior
-    shape ray.get-ed a counter actor synchronously every batch). The
-    totals split is a second O(blocks) single-column scan of the
-    materialized output — fixed executor-startup cost, never O(rows)
-    work. Callers that only need totals should use
-    :func:`extract_metrics_totals` (one streaming pass, nothing
-    materialized)."""
-    counted = extract_spans(
-        turns, batch_size=batch_size, stats=True
-    ).materialize()
-    return split_counted_spans(counted)
-
-
-def extract_metrics_totals(
-    turns: rd.Dataset, *, batch_size: int = 1024
-) -> dict[str, int]:
-    """Metrics-only form: stream the counted production chain ONCE and
-    reduce just the per-batch counter-partial rows on the driver — no
-    materialization, no second pass, no actor; span rows die in the
-    filter right after extraction."""
-    return _sum_counter_partials(
-        extract_spans(turns, batch_size=batch_size, stats=True)
-    )
 
 
 def turn_offsets(spans: pa.Table) -> pa.Table:
@@ -346,39 +237,13 @@ def reconcile_sorted(spans: rd.Dataset) -> rd.Dataset:
     return spans.map_batches(assign, batch_size=None, batch_format="pyarrow")
 
 
-def run_extraction(
-    turns_path: str,
-    out_dir: str | None = None,
-    *,
-    batch_size: int = 1024,
-    partition_output: bool = False,
-) -> rd.Dataset:
+def run_extraction(turns_path: str, out_dir: str | None = None) -> rd.Dataset:
     """End-to-end: read -> extract -> reconcile (-> write if out_dir).
 
-    Output is a parquet directory of part files (resumable layout: rerun
-    with a fresh out_dir or let ocr_ray.state.lineage skip completed
-    partitions). ``partition_output=True`` writes hive-partitioned by a
-    conv_id hash prefix (the brief's one-directory-per-key-range layout:
-    a failed downstream consumer can skip finished key ranges)."""
-    spans = reconcile_sorted(
-        extract_spans(read_turns(turns_path), batch_size=batch_size)
-    )
+    Output is a parquet directory of part files; the resumable
+    per-partition form of this job is
+    ``ocr_ray.state.lineage.CheckpointedExtraction``."""
+    spans = reconcile_sorted(extract_spans(read_turns(turns_path)))
     if out_dir is not None:
-        if partition_output:
-            def add_part(t: pa.Table) -> pa.Table:
-                import pandas as pd_
-
-                h = pd_.util.hash_array(
-                    t.column("conv_id").to_numpy(zero_copy_only=False),
-                    categorize=False,
-                )
-                return t.append_column(
-                    "conv_bucket", pa.array((h % 16).astype("int64"))
-                )
-
-            spans.map_batches(add_part, batch_format="pyarrow").write_parquet(
-                out_dir, partition_cols=["conv_bucket"]
-            )
-        else:
-            spans.write_parquet(out_dir)
+        spans.write_parquet(out_dir)
     return spans

@@ -57,6 +57,7 @@ from ..stages.partial_agg import (
     hash_bucket_sum,
     local_table,
     pin_schema,
+    to_pandas_typed,
 )
 
 # the undirected (lo, hi) edge list the gated graph operators pull
@@ -752,7 +753,7 @@ def label_propagation(
             batch_format="pandas",
         ).materialize()
 
-    out = labels.to_pandas().rename(
+    out = to_pandas_typed(labels, {"src": "int64", "lab": "int64"}).rename(
         columns={"src": "node", "lab": "community"})
     return (out.astype({"node": "int64", "community": "int64"})
             .sort_values("node").reset_index(drop=True))

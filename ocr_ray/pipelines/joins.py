@@ -59,14 +59,19 @@ __all__ = [
 ]
 
 
-def _side_schema(ds: rd.Dataset, hints: dict | None = None) -> pa.Schema:
+def _side_schema(ds: rd.Dataset, hints: dict | None = None) -> pa.Schema | None:
     """Arrow schema of one join side: from ``hints`` (column -> pandas
     dtype or pa.DataType, every column of the side) or else from
     ``ds.schema()``, whose types are Arrow for Arrow blocks and numpy
     dtypes or the ``object`` class for pandas blocks. ``object`` maps to
-    string — the only object columns the engine joins are strings."""
+    string — the only object columns the engine joins are strings.
+    ``None`` when the side has no schema: Ray Data never calls a map UDF
+    on a 0-row block and passes it on schema-less, so such a side holds
+    no rows."""
     if hints is None:
         sch = ds.schema()
+        if sch is None:
+            return None
         hints = dict(zip(sch.names, sch.types))
 
     def arrow_type(t) -> pa.DataType:
@@ -122,6 +127,15 @@ def bucket_hash_join(
         [right_on] if isinstance(right_on, str) else list(right_on))
     lsch = _side_schema(left, left_dtypes)
     rsch = _side_schema(right, right_dtypes)
+    if lsch is None or rsch is None:
+        # a side without rows: an anti join keeps its left side; the join
+        # is empty (0 rows and schema-less, as the join itself emits
+        # them) when the left side is empty or the join is inner or semi
+        if how == "anti" and lsch is not None:
+            return left
+        if how != "outer" and (lsch is None or how in ("inner", "semi")):
+            return rd.from_items([])
+        raise ValueError(f"a {how} join of a side without rows needs its dtypes")
     # both sides hash and join on the LEFT key types: a key float-promoted
     # by an upstream pandas stage would otherwise hash into different
     # buckets than the other side's int key (silent row loss)

@@ -8,8 +8,8 @@ in the quarantine directory, and only the passing rows continue down
 the (streaming) pipeline to the main sink.
 
 Reference analog: the reference drops malformed annotations silently
-(SURVEY.md §2.2 M9/M11); the engine's dataflow counter partials
-(``extract_spans(stats=True)``) count them — this keeps the rows
+(SURVEY.md §2.2 M9/M11); the engine's extraction counters
+(``extract_metrics_totals``) count them — this keeps the rows
 themselves for triage.
 """
 

@@ -52,8 +52,8 @@ UNIT_SCHEMA = pa.schema(
 
 
 def extract_batch_counted(batch: pa.Table, counters: dict[str, int]) -> pa.Table:
-    """The fused per-batch extraction core shared by the plain and the
-    stats-reporting task pass: normalized turn batch in -> flat span rows
+    """The fused per-batch extraction core shared by the span pass and
+    :func:`metrics_batch`: normalized turn batch in -> flat span rows
     out, with every deterministic drop and dead-lettered row recorded in
     ``counters``."""
     conv_ids = batch.column("conv_id").to_pylist()
@@ -106,9 +106,6 @@ def extract_batch_counted(batch: pa.Table, counters: dict[str, int]) -> pa.Table
 class UnitScorer:
     """Standalone dense-unit scorer (A1 analog): turn batch in -> exploded
     unit table with per-unit geometry and confidence."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         conv_ids = batch.column("conv_id").to_pylist()
@@ -181,41 +178,17 @@ def nested_spans_batch(batch: pa.Table) -> pa.Table:
 
 
 def metrics_batch(batch: pa.Table) -> pa.Table:
-    """STANDALONE audit form: runs the extraction chain over a batch purely
-    to count every deterministic drop (SURVEY.md §7.4 'silent-drop
-    semantics ... deterministic and logged') plus dead-lettered error
-    rows. Emits (reason, count) partial rows; aggregate with
-    groupby(reason).sum.
-
-    Production pipelines do NOT use this (it would run the most expensive
-    stage twice): the same totals fall out of the single production pass
-    via ``extract_spans(..., stats=True)`` /
-    ``extract_with_metrics`` (ocr_ray.pipelines.extract), which this
-    function's per-batch semantics define and tests pin."""
-    counters: dict[str, int] = {}
-    turns = 0
-    empty = 0
-    errors = 0
-    spans = 0
-    for text in batch.column("text").to_pylist():
-        turns += 1
-        if not text:
-            empty += 1
-            continue
-        try:
-            spans += len(extract_turn(text, counters))
-        except Exception:  # noqa: BLE001
-            errors += 1
-    counters["turns_in"] = turns
-    counters["empty_payloads"] = empty
-    counters["error_rows"] = errors
-    counters["spans_out"] = spans
-    return pa.Table.from_pydict(
-        {
-            "reason": list(counters.keys()),
-            "count": pa.array(list(counters.values()), pa.int64()),
-        }
-    )
+    """Counter form of the production extractor: runs
+    :func:`extract_batch_counted` over a turn batch and emits one
+    (reason, count) row per counter — turns_in, empty_payloads,
+    error_rows, spans_out and every deterministic drop (SURVEY.md §7.4
+    'silent-drop semantics ... deterministic and logged').
+    ``ocr_ray.pipelines.extract.extract_metrics_totals`` maps it and sums
+    the rows per reason."""
+    counters = {"turns_in": batch.num_rows, "empty_payloads": 0, "error_rows": 0}
+    counters["spans_out"] = extract_batch_counted(batch, counters).num_rows
+    return pa.table({"reason": list(counters),
+                     "count": pa.array(list(counters.values()), pa.int64())})
 
 
 def propose_only(batch: pa.Table) -> pa.Table:

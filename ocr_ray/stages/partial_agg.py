@@ -21,7 +21,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 __all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
            "grouped_topn", "pin_schema", "from_pandas", "to_pandas_typed",
            "compact_nonempty", "contiguous_array", "split_ws",
-           "LOCAL_ROW_LIMITS", "local_table"]
+           "LOCAL_ROW_LIMITS", "local_table", "pin_empty"]
 
 # Row counts below which each gated operator runs its driver-local kernel
 # on one Arrow table instead of its distributed plan: on inputs this small
@@ -158,6 +158,18 @@ def local_table(ds: "rd.Dataset", op: str, schema: pa.Schema):
     if not tabs:
         return schema.empty_table()
     return pa.concat_tables(tabs).combine_chunks()
+
+
+def pin_empty(ds: "rd.Dataset", schema: pa.Schema) -> "rd.Dataset":
+    """``ds`` materialized, or a 0-row Dataset of ``schema`` when ``ds``
+    holds no rows.
+
+    Ray Data 2.49 never calls a map UDF on a 0-row block and passes the
+    block on schema-less, so a distributed plan fed no rows (or filtering
+    all of them away) ends without its columns. Materializing costs no
+    extra execution: the caller reads the result once either way."""
+    ds = ds.materialize()
+    return ds if ds.count() else rd.from_arrow(schema.empty_table())
 
 
 def to_pandas_typed(ds: "rd.Dataset", cols: dict) -> pd.DataFrame:

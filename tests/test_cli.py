@@ -63,35 +63,19 @@ def test_cli_curate(ray_session, tmp_path, capsys):
 def test_csv_sink(ray_session, tmp_path):
     import ray.data as rd
 
-    from ocr_ray.pipelines.extract import extract_spans, write_spans_csv
+    from ocr_ray.pipelines.extract import extract_spans
 
     turns = _write_turns(tmp_path)
     out = str(tmp_path / "csv")
-    write_spans_csv(extract_spans(rd.read_parquet(turns, columns=["conv_id", "turn_idx", "text"])), out)
+    extract_spans(
+        rd.read_parquet(turns, columns=["conv_id", "turn_idx", "text"])
+    ).write_csv(out)
     files = [f for f in os.listdir(out) if f.endswith(".csv")]
     assert files
     header = open(os.path.join(out, files[0])).readline().strip()
     assert [c.strip('"') for c in header.split(",")[:3]] == [
         "conv_id", "turn_idx", "span_idx",
     ]
-
-
-def test_partitioned_output(ray_session, tmp_path):
-    """Hive-partitioned sink by conv_id hash bucket: one directory per key
-    range, rows roundtrip completely."""
-    import ray.data as rd
-
-    from ocr_ray.pipelines.extract import run_extraction
-
-    turns = _write_turns(tmp_path)
-    out = str(tmp_path / "partitioned")
-    flat = run_extraction(turns, None).to_pandas()
-    run_extraction(turns, out, partition_output=True)
-    dirs = [d for d in os.listdir(out) if d.startswith("conv_bucket=")]
-    assert len(dirs) >= 2
-    back = rd.read_parquet(out).to_pandas()
-    assert len(back) == len(flat)
-    assert set(back.conv_id) == set(flat.conv_id)
 
 
 def test_csv_and_json_sources_roundtrip(ray_session, tmp_path):

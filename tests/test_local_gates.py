@@ -1,6 +1,8 @@
-"""Every gated operator at its default LOCAL_ROW_LIMITS entry on a 0-row
-input read from Parquet: the driver-local kernel gets a typed 0-row
-table and must return the operator's empty answer."""
+"""Every gated operator on a 0-row input read from Parquet, on both
+branches of its gate: at its default LOCAL_ROW_LIMITS entry the
+driver-local kernel gets a typed 0-row table, and with the entry forced
+to 0 the distributed plan runs; each must return the operator's empty
+answer."""
 
 import logging
 
@@ -88,13 +90,24 @@ def empty_dir(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("op", sorted(_EMPTY))
-def test_gated_op_empty_input(ray_session, empty_dir, caplog, op):
+# (op, forced limit): None keeps the default entry (local branch), 0
+# forces the distributed branch
+_BRANCHES = [
+    pytest.param(op, limit, id=op if limit is None else f"{op}-distributed")
+    for op in sorted(_EMPTY) for limit in (None, 0)
+]
+
+
+@pytest.mark.parametrize("op,limit", _BRANCHES)
+def test_gated_op_empty_input(ray_session, empty_dir, caplog, monkeypatch,
+                              op, limit):
     import ray.data as rd
 
     from ocr_ray.pqread import read_parquet
 
     assert set(_EMPTY) == set(LOCAL_ROW_LIMITS)
+    if limit is not None:
+        monkeypatch.setitem(LOCAL_ROW_LIMITS, op, limit)
 
     def read(name, columns=None):
         return read_parquet(str(empty_dir / f"{name}.parquet"), columns=columns)
@@ -102,7 +115,8 @@ def test_gated_op_empty_input(ray_session, empty_dir, caplog, op):
     with caplog.at_level(logging.DEBUG, logger="ocr_ray.gates"):
         out = _run(op, read)
     # the decision record (op, n, limit, path)
-    assert (op, 0, LOCAL_ROW_LIMITS[op], "local") in [
+    path = "local" if limit is None else "distributed"
+    assert (op, 0, LOCAL_ROW_LIMITS[op], path) in [
         r.args for r in caplog.records if r.name == "ocr_ray.gates"]
     cols, rows = _EMPTY[op]
     if isinstance(out, rd.Dataset):
@@ -112,3 +126,18 @@ def test_gated_op_empty_input(ray_session, empty_dir, caplog, op):
     else:
         assert list(out.columns) == cols
     assert [tuple(r) for r in out.itertuples(index=False)] == rows
+
+
+def test_distributed_nll_without_bigrams(ray_session, monkeypatch):
+    """Documents but no bigram: the distributed plan's bigram stream is
+    empty, so its joins get sides without rows and no schema."""
+    import ray.data as rd
+
+    from ocr_ray.functions.textstats import bigram_nll
+
+    monkeypatch.setitem(LOCAL_ROW_LIMITS, "nll", 0)
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                                   "text": ["one", "two", ""]}))
+    out = bigram_nll(docs)
+    assert out.schema().names == _EMPTY["nll"][0]
+    assert out.count() == 0

@@ -254,17 +254,14 @@ def test_extract_metrics_counters(ray_session):
 
     batch = pa.Table.from_pylist(
         [
-            {"text": "good content words in this line"},
-            {"text": ""},
-            {"text": "xy"},  # below MIN_TEXT_SIZE
+            {"conv_id": "c", "turn_idx": 0, "text": "good content words in this line"},
+            {"conv_id": "c", "turn_idx": 1, "text": ""},
+            {"conv_id": "c", "turn_idx": 2, "text": "xy"},  # below MIN_TEXT_SIZE
         ]
     )
-    out = dict(
-        zip(
-            metrics_batch(batch).column("reason").to_pylist(),
-            metrics_batch(batch).column("count").to_pylist(),
-        )
-    )
+    rows = metrics_batch(batch)
+    out = dict(zip(rows.column("reason").to_pylist(),
+                   rows.column("count").to_pylist()))
     assert out["turns_in"] == 3
     assert out["empty_payloads"] == 1
     assert out["drop_min_text_size"] == 1
@@ -320,27 +317,38 @@ def test_reconcile_sorted_boundary_walk_stress(ray_session, monkeypatch):
             )
 
 
-def test_production_metrics_match_audit_pass(ray_session, turns_path):
-    """The stats-actor counters harvested from the SINGLE production pass
-    equal the standalone audit form's totals (the chain runs once, yet
-    every drop/dead-letter counter is identical)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+def test_metrics_totals_match_sequential_fold(ray_session, turns_path):
+    """The distributed counter totals equal a sequential fold of
+    extract_turn's counters over the same turns."""
+    from ocr_ray.extract import extract_turn
+    from ocr_ray.pipelines.extract import extract_metrics_totals, read_turns
 
-    from ocr_ray.pipelines.extract import extract_with_metrics, read_turns
-    from ocr_ray.stages.extractor import metrics_batch
+    table = pq.read_table(os.path.join(turns_path, "turns.parquet"))
+    fold = {"turns_in": 0, "empty_payloads": 0, "error_rows": 0, "spans_out": 0}
+    for text in table.column("text").to_pylist():
+        fold["turns_in"] += 1
+        if not text:
+            fold["empty_payloads"] += 1
+            continue
+        try:
+            fold["spans_out"] += len(extract_turn(text, fold))
+        except Exception:  # noqa: BLE001
+            fold["error_rows"] += 1
+    assert extract_metrics_totals(read_turns(turns_path)) == fold
+    assert fold["spans_out"] > 0 and fold["empty_payloads"] > 0
 
-    audit = (
-        rd.read_parquet(turns_path, columns=["text"])
-        .map_batches(metrics_batch, batch_format="pyarrow")
-        .groupby("reason")
-        .aggregate(Sum("count", alias_name="total"))
-        .to_pandas()
-    )
-    audit_totals = dict(zip(audit["reason"], audit["total"].astype(int)))
-    spans, totals = extract_with_metrics(read_turns(turns_path))
-    assert {k: int(v) for k, v in totals.items()} == audit_totals
-    assert totals["spans_out"] == spans.count()
+
+def test_metrics_totals_zero_rows(ray_session, tmp_path):
+    """A 0-row turns table still reports the four headline counters."""
+    import pyarrow as pa
+
+    from ocr_ray.pipelines.extract import extract_metrics_totals, read_turns
+
+    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                        ("text", pa.string())])
+    pq.write_table(schema.empty_table(), str(tmp_path / "turns.parquet"))
+    assert extract_metrics_totals(read_turns(str(tmp_path))) == {
+        "turns_in": 0, "empty_payloads": 0, "error_rows": 0, "spans_out": 0}
 
 
 def test_mega_conversation_salting(ray_session, turns_path, monkeypatch):
