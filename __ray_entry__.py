@@ -49,17 +49,14 @@ def _q_extract_spans(sf_dir: str):
 
 def _q_extract_units(sf_dir: str):
     from ocr_ray.corpus import ensure_transcripts
-    from ocr_ray.stages.carry_scan import cluster_cpus
-    from ocr_ray.stages.extractor import UnitScorer
+    from ocr_ray.stages.extractor import score_units_batch
     from ocr_ray.stages.normalize import normalize_batch
 
     turns = _read_parquet(
         ensure_transcripts(sf_dir), columns=["conv_id", "turn_idx", "text"]
     )
-    # actor pool sized to the cluster (was capped at 4 — starved a 32-CPU box)
-    n_cpus = cluster_cpus()
     return turns.map_batches(normalize_batch, batch_format="pyarrow").map_batches(
-        UnitScorer, batch_format="pyarrow", concurrency=(1, max(2, n_cpus))
+        score_units_batch, batch_format="pyarrow"
     )
 
 
@@ -494,13 +491,13 @@ def _q_extract_units_docs(sf_dir: str):
     """Dense unit/score table over the documents table (A1 analog on the
     plain path) — SQL-verifiable: one unit per doc with the exact
     tag-weight/density score formula replicated in the oracle."""
-    from ocr_ray.stages.extractor import UnitScorer
+    from ocr_ray.stages.extractor import score_units_batch
     from ocr_ray.stages.normalize import normalize_batch
 
     units = (
         _wrapped_docs_as_turns(sf_dir, "", "", "")
         .map_batches(normalize_batch, batch_format="pyarrow")
-        .map_batches(UnitScorer, batch_format="pyarrow", concurrency=(1, 8))
+        .map_batches(score_units_batch, batch_format="pyarrow")
     )
 
     return _finish_docs(units, _UNIT_COLUMNS)
@@ -558,13 +555,13 @@ def _q_extract_units_html(sf_dir: str):
     the quote-aware tokenizer's block stack, the inline-<a> link-density
     mask, and the tag-weight scoring are all driver-verified on real html
     markup (reference DetectUtil.py:127-216 conformance)."""
-    from ocr_ray.stages.extractor import UnitScorer
+    from ocr_ray.stages.extractor import score_units_batch
     from ocr_ray.stages.normalize import normalize_batch
 
     units = (
         _wrapped_docs_as_turns(sf_dir, _HTML_WRAP_PREFIX, _HTML_WRAP_SUFFIX, "<&")
         .map_batches(normalize_batch, batch_format="pyarrow")
-        .map_batches(UnitScorer, batch_format="pyarrow", concurrency=(1, 8))
+        .map_batches(score_units_batch, batch_format="pyarrow")
     )
 
     return _finish_docs(units, _UNIT_COLUMNS)

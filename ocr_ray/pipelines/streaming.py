@@ -3,15 +3,22 @@
 extensions, built the Ray-Data way — partition by key, order by ts within
 partition, window inside map_groups).
 
+That sentence is written once, in :func:`_user_buckets`: user_id hashed
+into 64 buckets, one exchange, and one Arrow kernel per bucket that sees
+the bucket stably sorted by its window order and returns columns cast to
+a declared schema. Each per-user query is thus one ``OVER (PARTITION BY
+user_id ORDER BY ...)`` operator with an exact SQL twin.
+
 Ordering assumption (stated per the guide): events are processed per
 ``user_id`` group sorted by ``ts``; output is independent of input block
 order. Exact-cents math keeps the SQL twins bit-identical.
 
-Result shape: the trailing ``.to_pandas()`` in each query is the
-driver-result adapter for the correctness gate; the windowed aggregation
-itself is a Dataset until that call, and a production consumer sinks the
-Dataset instead (window-aggregate outputs are corpus-scaled at 10^12
-events).
+Result shape: every query but the actor-based ``sessionize_incremental``
+ends in ``collect_table(ds, schema).to_pandas()`` — the driver reads the
+non-empty blocks' declared columns, or the schema's empty table when no
+block holds rows, so a 0-row input answers with a typed empty frame. The windowed aggregation itself is a
+Dataset until that call, and a production consumer sinks the Dataset
+instead (window-aggregate outputs are corpus-scaled at 10^12 events).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
 
-from ..stages.partial_agg import from_pandas as _from_pandas, pin_schema
+from ..stages.partial_agg import add_hash_bucket, collect_table
 
 __all__ = [
     "tumbling_window",
@@ -59,6 +66,15 @@ __all__ = [
 ]
 
 SESSION_GAP_MIN = 30
+SESSION_GAP_US = SESSION_GAP_MIN * 60 * 1_000_000
+
+# user-hash buckets of every per-user pass: a coarse key, because a
+# per-USER map_groups pays ~1 ms per group, fatal at 10^9 users
+_N_BUCKETS = 64
+
+# the (ts, event_id) window order within each user
+_BY_TIME = [("user_id", "ascending"), ("ts", "ascending"),
+            ("event_id", "ascending")]
 
 
 def seg_searchsorted(seg_id: np.ndarray, ts: np.ndarray,
@@ -91,13 +107,84 @@ def _events(sf_dir: str, columns: list[str]) -> rd.Dataset:
     return _read_parquet(os.path.join(sf_dir, "events.parquet"), columns=columns)
 
 
+def _user_buckets(ds: rd.Dataset, order: list[tuple[str, str]], fn,
+                  schema: pa.Schema) -> rd.Dataset:
+    """The streaming family's one bucket pass: hash ``user_id`` into
+    ``_N_BUCKETS`` buckets, exchange once, and call ``fn`` on each
+    bucket as one ``pa.Table`` stably sorted by ``order``
+    (``Table.sort_by`` keys), so each user's rows are contiguous when
+    ``order`` leads with user_id. ``fn`` returns a table or a dict of
+    columns; its output is selected and cast to ``schema``."""
+
+    def kernel(t: pa.Table) -> pa.Table:
+        return pa.table(fn(t.sort_by(order))).select(schema.names).cast(schema)
+
+    return (
+        ds.map_batches(lambda t: add_hash_bucket(t, ["user_id"], _N_BUCKETS),
+                       batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(kernel, batch_format="pyarrow")
+    )
+
+
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start index, length) of each run of rows equal on all ``keys``."""
+    n = len(keys[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, n))
+
+
+def _us(col) -> np.ndarray:
+    """A timestamp column as int64 microseconds."""
+    return col.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+
+
+def _window_sums(ds: rd.Dataset, window_type: pa.DataType) -> pd.DataFrame:
+    """Event count ``n`` and exact-cents ``sum_value`` per (user_id,
+    window_start) over ``ds``'s (user_id, window_start, value_c) rows,
+    sorted by (user_id, window_start).
+
+    Each block first shrinks to per-(user, window) partial sums (sums and
+    counts are additive); the user-hash bucket pass then adds up each
+    (user, window) run of its sorted partials."""
+    keys = ["user_id", "window_start"]
+    schema = pa.schema([("user_id", pa.int64()), ("window_start", window_type),
+                        ("n", pa.int64()), ("value_c", pa.int64())])
+
+    def partial(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate([([], "count_all"), ("value_c", "sum")])
+        return pa.table({"user_id": g["user_id"],
+                         "window_start": g["window_start"],
+                         "n": g["count_all"], "value_c": g["value_c_sum"]})
+
+    def fold(t: pa.Table) -> dict:
+        runs, _ = _runs(t["user_id"].to_numpy(), t["window_start"].to_numpy())
+        return {"user_id": t["user_id"].take(runs),
+                "window_start": t["window_start"].take(runs),
+                "n": np.add.reduceat(t["n"].to_numpy(), runs),
+                "value_c": np.add.reduceat(t["value_c"].to_numpy(), runs)}
+
+    agg = collect_table(
+        _user_buckets(ds.map_batches(partial, batch_format="pyarrow"),
+                      [(k, "ascending") for k in keys], fold, schema),
+        schema,
+    ).to_pandas()
+    agg["sum_value"] = agg["value_c"] / 100.0
+    return agg[["user_id", "window_start", "n", "sum_value"]].sort_values(
+        keys
+    ).reset_index(drop=True)
+
+
 def tumbling_window(sf_dir: str) -> pd.DataFrame:
     """Per-user tumbling 1-hour windows: count + exact-cents sum.
 
-    Window key computed vectorized in map_batches; the aggregation is the
-    hash-bucketed grouped sum (high key cardinality)."""
-    from ..stages.partial_agg import hash_bucket_sum
-
+    Window key computed vectorized in map_batches; the aggregation is
+    :func:`_window_sums` (per-block partial sums, then the user-hash
+    bucket pass)."""
     ds = _events(sf_dir, ["user_id", "ts", "value"])
 
     def widen(t: pa.Table) -> pa.Table:
@@ -108,15 +195,8 @@ def tumbling_window(sf_dir: str) -> pd.DataFrame:
             names=["user_id", "window_start", "value_c"],
         )
 
-    agg = hash_bucket_sum(
-        ds.map_batches(widen, batch_format="pyarrow"),
-        ["user_id", "window_start"],
-        ["value_c"],
-    ).to_pandas()
-    agg["sum_value"] = agg["value_c"] / 100.0
-    return agg[["user_id", "window_start", "n", "sum_value"]].sort_values(
-        ["user_id", "window_start"]
-    ).reset_index(drop=True)
+    return _window_sums(ds.map_batches(widen, batch_format="pyarrow"),
+                        pa.string())
 
 
 HOP_LEN_MIN = 60   # hopping window length
@@ -129,21 +209,17 @@ def hopping_window(sf_dir: str) -> pd.DataFrame:
 
     Ray shape: each event EXPLODES into its LEN/STEP covering windows
     inside map_batches (vectorized: one np.repeat/tile per batch — no
-    per-row loop), then the hash-bucketed grouped sum handles the high
+    per-row loop), then :func:`_window_sums` handles the high
     (user, window) cardinality. SQL twin enumerates the same covering
     windows with generate_series."""
-    from ..stages.partial_agg import hash_bucket_sum
-
     ds = _events(sf_dir, ["user_id", "ts", "value"])
     n_win = HOP_LEN_MIN // HOP_STEP_MIN
     step_us = HOP_STEP_MIN * 60 * 1_000_000
 
     def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        ts = t.column("ts").cast(pa.timestamp("us")).to_numpy(zero_copy_only=False)
-        us = ts.astype("datetime64[us]").astype(np.int64)
-        users = t.column("user_id").to_numpy(zero_copy_only=False)
-        value_c = _cents(t["value"]).to_numpy(zero_copy_only=False)
+        us = _us(t["ts"])
+        users = t.column("user_id").to_numpy()
+        value_c = _cents(t["value"]).to_numpy()
         # latest covering window start, then n_win steps back
         base = (us // step_us) * step_us
         starts = base[:, None] - np.arange(n_win)[None, :] * step_us
@@ -159,16 +235,14 @@ def hopping_window(sf_dir: str) -> pd.DataFrame:
             names=["user_id", "window_start", "value_c"],
         )
 
-    agg = hash_bucket_sum(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["user_id", "window_start"],
-        ["value_c"],
-    ).to_pandas()
-    agg["sum_value"] = agg["value_c"] / 100.0
-    out = agg[["user_id", "window_start", "n", "sum_value"]].sort_values(
-        ["user_id", "window_start"]
-    ).reset_index(drop=True)
-    return out
+    return _window_sums(ds.map_batches(explode, batch_format="pyarrow"),
+                        pa.timestamp("us"))
+
+
+_SESSIONS = pa.schema([("user_id", pa.int64()),
+                       ("session_start", pa.timestamp("us")),
+                       ("n_events", pa.int64()),
+                       ("duration_sec", pa.int64())])
 
 
 def session_windows(sf_dir: str) -> pd.DataFrame:
@@ -176,58 +250,42 @@ def session_windows(sf_dir: str) -> pd.DataFrame:
     the previous event exceeds SESSION_GAP_MIN minutes. Emits one row per
     session: (user_id, session_start, n_events, duration_sec).
 
-    Scale shape: groupby a COARSE hash bucket of user_id (64 groups, not
-    one per user — per-group map_groups overhead is ~1 ms, fatal at 10^9
-    users), then sessionize the whole bucket in ONE vectorized pass:
-    sort by (user_id, ts), a session break is a user change OR a gap
-    over the threshold, and session rows are sliced at the break indices
-    — no per-user loop anywhere."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the user-hash bucket pass, then sessionize the whole
+    bucket in ONE vectorized pass: sorted by (user_id, ts), a session
+    break is a user change OR a gap over the threshold, and session rows
+    are sliced at the break indices — no per-user loop anywhere."""
 
-    ds = _events(sf_dir, ["user_id", "ts"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    def sessionize(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        us = _us(t["ts"])
+        brk = np.ones(len(us), dtype=bool)
+        brk[1:] = (users[1:] != users[:-1]) | (us[1:] - us[:-1] > SESSION_GAP_US)
+        starts = np.flatnonzero(brk)
+        ends = np.append(starts[1:], len(us)) - 1
+        return {"user_id": users[starts],
+                "session_start": t["ts"].take(starts),
+                "n_events": ends - starts + 1,
+                "duration_sec": (us[ends] - us[starts]) // 1_000_000}
 
-    def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        same_user = np.concatenate([[False], users[1:] == users[:-1]])
-        gap_ok = np.concatenate(
-            [[False],
-             (ts[1:] - ts[:-1]) / np.timedelta64(1, "s") <= SESSION_GAP_MIN * 60]
-        )
-        starts = np.flatnonzero(~(same_user & gap_ok))
-        ends = np.append(starts[1:], len(users)) - 1
-        return pd.DataFrame(
-            {"user_id": users[starts],
-             "session_start": ts[starts],
-             "n_events": (ends - starts + 1).astype(np.int64),
-             "duration_sec": (
-                 (ts[ends] - ts[starts]) / np.timedelta64(1, "s")
-             ).astype(np.int64)}
-        )
-
-    norm = pin_schema({"user_id": "int64", "session_start": "datetime64[us]",
-                "n_events": "int64", "duration_sec": "int64"})
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(sessionize_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(_events(sf_dir, ["user_id", "ts"]),
+                      [("user_id", "ascending"), ("ts", "ascending")],
+                      sessionize, _SESSIONS),
+        _SESSIONS,
+    ).to_pandas()
     return res.sort_values(["user_id", "session_start"]).reset_index(drop=True)
 
 
-def sessionize_incremental(sf_dir: str, n_buckets: int = 8) -> pd.DataFrame:
+SESSION_ACTORS = 8  # stateful actors of sessionize_incremental, one per user hash
+
+
+def sessionize_incremental(sf_dir: str) -> pd.DataFrame:
     """Stateful-actor sessionization — the raw-Ray-actor escape hatch the
     guide reserves for semantics map_batches can't express: incremental
     state over an ordered stream.
 
     Shape: events are streamed in GLOBAL ts order (one ordered pass, as a
-    log consumer would see them) to ``n_buckets`` stateful actors
+    log consumer would see them) to ``SESSION_ACTORS`` stateful actors
     (user_id hash-partitioned). Each actor keeps its users' OPEN sessions
     as in-memory state across feed calls, emits a session only when the
     gap closes it, and flushes remaining state at end-of-stream. Output is
@@ -236,69 +294,59 @@ def sessionize_incremental(sf_dir: str, n_buckets: int = 8) -> pd.DataFrame:
     materialization per group.
 
     The driver never touches event data: it submits the sorted Dataset's
-    BLOCK REFS to every actor in order (O(blocks) driver work); each actor
-    reads the shared block zero-copy from the object store and masks its
-    own user-hash partition. Per-actor calls from one submitter are
-    processed in submission order, so every actor sees its users' events
-    in global ts order.
+    non-empty BLOCK REFS to every actor in order (O(blocks) driver work);
+    each actor reads the shared block zero-copy from the object store and
+    masks its own user-hash partition. Per-actor calls from one submitter
+    are processed in submission order, so every actor sees its users'
+    events in global ts order. The actors are killed before returning.
     """
     import ray
 
     @ray.remote
     class SessionBucket:
-        def __init__(self, bucket: int, n_buckets: int) -> None:
+        def __init__(self, bucket: int) -> None:
             self.bucket = np.uint64(bucket)
-            self.n_buckets = np.uint64(n_buckets)
             self.open: dict[int, tuple] = {}  # user -> (start, last, n)
-            self.closed: list[tuple] = []
+            self.closed: list[tuple] = []     # (user, start, last, n)
 
-        def feed_block(self, t: pa.Table) -> int:
-            users = t.column("user_id").to_numpy(zero_copy_only=False)
-            ts = t.column("ts").to_numpy(zero_copy_only=False)
+        def feed_block(self, t: pa.Table) -> None:
+            users = t["user_id"].to_numpy()
+            us = _us(t["ts"])
             m = (
                 users.astype(np.uint64) * np.uint64(2654435761)
-            ) % self.n_buckets == self.bucket
-            users, ts = users[m], ts[m]
-            gap = np.timedelta64(SESSION_GAP_MIN * 60, "s")
-            for u, t_ in zip(users.tolist(), ts):
+            ) % np.uint64(SESSION_ACTORS) == self.bucket
+            for u, ts in zip(users[m].tolist(), us[m].tolist()):
                 cur = self.open.get(u)
                 if cur is None:
-                    self.open[u] = (t_, t_, 1)
-                elif t_ - cur[1] > gap:
-                    self.closed.append((u, cur[0], cur[2], cur[1]))
-                    self.open[u] = (t_, t_, 1)
+                    self.open[u] = (ts, ts, 1)
+                elif ts - cur[1] > SESSION_GAP_US:
+                    self.closed.append((u, *cur))
+                    self.open[u] = (ts, ts, 1)
                 else:
-                    self.open[u] = (cur[0], t_, cur[2] + 1)
-            return len(self.closed)
+                    self.open[u] = (cur[0], ts, cur[2] + 1)
 
-        def flush(self) -> list[tuple]:
-            for u, cur in self.open.items():
-                self.closed.append((u, cur[0], cur[2], cur[1]))
-            self.open.clear()
-            return self.closed
+        def flush(self) -> pa.Table:
+            rows = self.closed + [(u, *cur) for u, cur in self.open.items()]
+            u, start, last, n = np.array(rows, np.int64).reshape(-1, 4).T
+            return pa.table({"user_id": u, "session_start": start,
+                             "n_events": n,
+                             "duration_sec": (last - start) // 1_000_000},
+                            schema=_SESSIONS)
 
-    actors = [SessionBucket.remote(b, n_buckets) for b in range(n_buckets)]
-    # materialize after the sort so block refs follow range order
+    # materialize after the sort so block refs follow range order; Ray's
+    # sort emits schema-less 0-row filler blocks, which hold no events
     ds = _events(sf_dir, ["user_id", "ts"]).sort("ts").materialize()
-    pending = [
-        actors[b].feed_block.remote(ref)
-        for ref in ds.to_arrow_refs()
-        for b in range(n_buckets)
-    ]
-    import itertools
-
-    ray.get(pending)
-    rows = list(itertools.chain.from_iterable(ray.get([a.flush.remote() for a in actors])))
-    out = pd.DataFrame(rows, columns=["user_id", "session_start", "n_events", "duration_end"])
-    # rows come back as numpy datetime64[us] scalars but DataFrame() pins
-    # ns resolution; the driver hash is dtype-sensitive, so match the
-    # parquet/oracle us resolution explicitly
-    out["session_start"] = out["session_start"].astype("datetime64[us]")
-    out["duration_sec"] = (
-        (out["duration_end"] - out["session_start"]).dt.total_seconds().astype(np.int64)
-    )
-    out = out[["user_id", "session_start", "n_events", "duration_sec"]]
-    return out.sort_values(["user_id", "session_start"]).reset_index(drop=True)
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    actors = [SessionBucket.remote(b) for b in range(SESSION_ACTORS)]
+    try:
+        ray.get([a.feed_block.remote(ref) for ref in refs for a in actors])
+        out = pa.concat_tables(ray.get([a.flush.remote() for a in actors]))
+    finally:
+        for a in actors:
+            ray.kill(a)
+    return out.to_pandas().sort_values(
+        ["user_id", "session_start"]).reset_index(drop=True)
 
 
 def rolling_user_sum(sf_dir: str) -> pd.DataFrame:
@@ -307,49 +355,26 @@ def rolling_user_sum(sf_dir: str) -> pd.DataFrame:
     (``SUM() OVER (PARTITION BY user ORDER BY ts ROWS UNBOUNDED
     PRECEDING)``).
 
-    Scale shape: coarse hash bucket of user_id (64 groups) -> ONE
-    vectorized pass per bucket: sort by (user, ts, event_id), np.cumsum
-    over the whole bucket, per-user segment reset by subtracting each
-    segment's starting offset (np.repeat over segment lengths — sign-safe,
-    no per-user loop)."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the user-hash bucket pass -> ONE vectorized pass per
+    bucket: np.cumsum over the whole (user, ts, event_id)-sorted bucket,
+    per-user segment reset by subtracting each segment's starting offset
+    (np.repeat over segment lengths — sign-safe, no per-user loop)."""
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("running_c", pa.int64())])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-
-    def widen(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [t["event_id"].combine_chunks(), t["user_id"].combine_chunks(),
-             t["ts"].combine_chunks(), _cents(t["value"])],
-            names=["event_id", "user_id", "ts", "value_c"],
-        )
-
-    bucketed = ds.map_batches(widen, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        v = g["value_c"].to_numpy(np.int64)
-        users = g["user_id"].to_numpy()
+    def roll(t: pa.Table) -> dict:
+        v = _cents(t["value"]).to_numpy()
+        starts, seg_len = _runs(t["user_id"].to_numpy())
         cs = np.cumsum(v)
-        new = np.concatenate([[True], users[1:] != users[:-1]])
-        starts = np.flatnonzero(new)
-        seg_len = np.diff(np.append(starts, len(v)))
         offset = np.repeat(cs[starts] - v[starts], seg_len)
-        return pd.DataFrame(
-            {"event_id": g["event_id"].to_numpy(np.int64),
-             "user_id": users,
-             "running_c": cs - offset}
-        )
+        return {"event_id": t["event_id"], "user_id": t["user_id"],
+                "running_c": cs - offset}
 
-    norm = pin_schema({"event_id": "int64", "user_id": "int64", "running_c": "int64"})
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(roll, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                      _BY_TIME, roll, schema),
+        schema,
+    ).to_pandas()
     res["running_sum"] = res["running_c"] / 100.0
     return res[["event_id", "user_id", "running_sum"]].sort_values(
         "event_id"
@@ -371,14 +396,17 @@ def top_events_per_user(sf_dir: str) -> pd.DataFrame:
     from ..stages.partial_agg import grouped_topn
 
     ds = _events(sf_dir, ["event_id", "user_id", "value"])
-    res = grouped_topn(
-        ds, "user_id", ["value", "event_id"], [False, True], TOP_PER_USER_N,
-        payload_cols=["event_id", "user_id", "value"],
-        out_dtypes={"event_id": "int64", "user_id": "int64", "value": "float64"},
+    res = collect_table(
+        grouped_topn(
+            ds, "user_id", ["value", "event_id"], [False, True], TOP_PER_USER_N,
+            payload_cols=["event_id", "user_id", "value"],
+            out_dtypes={"event_id": "int64", "user_id": "int64",
+                        "value": "float64"},
+        ),
+        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                   ("value", pa.float64()), ("rank", pa.int64())]),
     ).to_pandas()
-    return res[["event_id", "user_id", "value", "rank"]].sort_values(
-        ["user_id", "rank"]
-    ).reset_index(drop=True)
+    return res.sort_values(["user_id", "rank"]).reset_index(drop=True)
 
 
 def asof_last_login(sf_dir: str) -> pd.DataFrame:
@@ -389,52 +417,42 @@ def asof_last_login(sf_dir: str) -> pd.DataFrame:
     passed vacuously on all-NULL output; signup events exist for every
     user, making the backward search and its tie rule actually graded.)
 
-    Scale shape: groupby a COARSE hash bucket of user_id (64 groups — a
-    per-USER map_groups pays ~1 ms/group, fatal at 10^9 users), then ONE
-    ``pd.merge_asof(..., by="user_id")`` per bucket: both sides sorted by
-    ts once, the by= key scopes the backward search per user inside a
-    single vectorized pass.
+    Scale shape: the user-hash bucket pass, then ONE merge rank per
+    bucket (:func:`window_bounds`): clicks at (user, ts + 1us) are ranked
+    into the user-major signup stream, so the signup just before a
+    click's rank is its user's latest signup at or before the click when
+    it belongs to the same user.
 
-    Tie rule: a login sharing the click's exact ts IS a match
-    (allow_exact_matches=True); the SQL twin's RANGE window frame states
-    the same rule."""
-    from ..stages.partial_agg import add_hash_bucket
+    Tie rule: a signup sharing the click's exact ts IS a match
+    (timestamps are integral microseconds, so ts + 1us is the first
+    excluded instant); the SQL twin's RANGE window frame states the same
+    rule."""
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("ts", pa.timestamp("us")),
+                        ("last_login_ts", pa.timestamp("us"))])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    def asof(t: pa.Table) -> dict:
+        signups = t.filter(pc.equal(t["event_type"], "signup"))
+        clicks = t.filter(pc.equal(t["event_type"], "click"))
+        su = signups["user_id"].to_numpy()
+        cu = clicks["user_id"].to_numpy()
+        _, hi = window_bounds(su, _us(signups["ts"]), cu,
+                              _us(clicks["ts"]) + 1, 0)
+        last = hi - 1
+        found = last >= 0
+        found[found] = su[last[found]] == cu[found]
+        return {"event_id": clicks["event_id"], "user_id": clicks["user_id"],
+                "ts": clicks["ts"],
+                "last_login_ts": signups["ts"].take(pa.array(last, mask=~found))}
 
-    def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        clicks = g[g["event_type"] == "click"].sort_values(
-            ["ts", "event_id"], kind="mergesort"
-        )
-        logins = g[g["event_type"] == "signup"].sort_values("ts", kind="mergesort")
-        if clicks.empty:
-            return pd.DataFrame(
-                {"event_id": pd.Series([], dtype=np.int64),
-                 "user_id": pd.Series([], dtype=np.int64),
-                 "ts": pd.Series([], dtype="datetime64[us]"),
-                 "last_login_ts": pd.Series([], dtype="datetime64[us]")}
-            )
-        merged = pd.merge_asof(
-            clicks[["event_id", "user_id", "ts"]],
-            logins[["user_id", "ts"]].assign(last_login_ts=lambda d: d["ts"]),
-            on="ts", by="user_id",
-            direction="backward", allow_exact_matches=True,
-        )
-        return merged[["event_id", "user_id", "ts", "last_login_ts"]]
-
-    norm = pin_schema({"event_id": "int64", "user_id": "int64",
-                "ts": "datetime64[us]", "last_login_ts": "datetime64[us]"})
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(
+            _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+            _BY_TIME, asof, schema),
+        schema,
+    ).to_pandas()
     return res.sort_values("event_id").reset_index(drop=True)
+
 
 def lag_delta(sf_dir: str) -> pd.DataFrame:
     """Per-event LAG window: microseconds since the same user's previous
@@ -442,38 +460,27 @@ def lag_delta(sf_dir: str) -> pd.DataFrame:
     lag(epoch_us(ts)) OVER (PARTITION BY user ORDER BY ts, event_id)``
     shape.
 
-    Scale shape: coarse hash bucket of user_id (64 groups), then ONE
-    vectorized pass per bucket — sort by (user, ts, event_id), np.diff
-    over the whole bucket, user-boundary rows reset to the -1 sentinel
-    (no per-user loop, no per-user map_groups)."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the user-hash bucket pass, then ONE vectorized pass per
+    (user, ts, event_id)-sorted bucket — np.diff over the whole bucket,
+    user-boundary rows reset to the -1 sentinel (no per-user loop, no
+    per-user map_groups)."""
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("delta_us", pa.int64())])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def lag_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        us = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        users = g["user_id"].to_numpy()
-        delta = np.empty(len(us), dtype=np.int64)
-        if len(us):
-            delta[0] = -1
-            delta[1:] = us[1:] - us[:-1]
-            delta[np.concatenate([[True], users[1:] != users[:-1]])] = -1
-        return pd.DataFrame(
-            {"event_id": g["event_id"].to_numpy(np.int64),
-             "user_id": users,
-             "delta_us": delta}
-        )
-
-    norm = pin_schema({"event_id": "int64", "user_id": "int64", "delta_us": "int64"})
+    def lag(t: pa.Table) -> dict:
+        us = _us(t["ts"])
+        delta = np.full(len(us), -1, dtype=np.int64)
+        delta[1:] = us[1:] - us[:-1]
+        delta[_runs(t["user_id"].to_numpy())[0]] = -1
+        return {"event_id": t["event_id"], "user_id": t["user_id"],
+                "delta_us": delta}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(lag_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts"]),
+                          _BY_TIME, lag, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -486,40 +493,47 @@ def transition_counts(sf_dir: str) -> pd.DataFrame:
     the ``lag(event_type) OVER (PARTITION BY user ORDER BY ts, id)``
     shape feeding a grouped count (user-journey / funnel analysis).
 
-    Scale shape: the lag kernel (coarse user hash bucket, ONE vectorized
-    lexsorted pass per bucket — adjacent-row shift, user-boundary rows
-    masked out), but each bucket emits only its |types|^2-row partial
-    count matrix; the final merge is over O(n_buckets * |types|^2) rows —
-    bounded by the type vocabulary, independent of corpus size."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the lag kernel (user-hash bucket pass, adjacent-row
+    shift over each sorted bucket, user-boundary rows masked out), but
+    each bucket emits only its |types|^2-row partial count matrix; the
+    final merge is over O(buckets * |types|^2) rows — bounded by the type
+    vocabulary, independent of corpus size."""
+    schema = pa.schema([("prev_type", pa.string()), ("next_type", pa.string()),
+                        ("n", pa.int64())])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    def transitions(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        prev = np.flatnonzero(users[1:] == users[:-1])
+        g = pa.table(
+            {"prev_type": t["event_type"].take(prev),
+             "next_type": t["event_type"].take(prev + 1)}
+        ).group_by(["prev_type", "next_type"]).aggregate([([], "count_all")])
+        return {"prev_type": g["prev_type"], "next_type": g["next_type"],
+                "n": g["count_all"]}
 
-    def trans_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        et = g["event_type"].to_numpy()
-        same = users[1:] == users[:-1]
-        df = pd.DataFrame({"prev_type": et[:-1][same], "next_type": et[1:][same]})
-        out = df.groupby(["prev_type", "next_type"], as_index=False).size()
-        return out.rename(columns={"size": "n"})
-
-    norm = pin_schema({"prev_type": "object", "next_type": "object", "n": "int64"})
-
-    partials = (
-        bucketed.groupby("bucket")
-        .map_groups(trans_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()  # O(n_buckets * |types|^2) rows — bounded
-    )
+    partials = collect_table(  # O(buckets * |types|^2) rows — bounded
+        _user_buckets(
+            _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+            _BY_TIME, transitions, schema),
+        schema,
+    ).to_pandas()
     out = partials.groupby(["prev_type", "next_type"], as_index=False).agg(
         n=("n", "sum")
     )
     out["n"] = out["n"].astype(np.int64)
     return out.sort_values(["prev_type", "next_type"]).reset_index(drop=True)
+
+
+_BY_VALUE = [("user_id", "ascending"), ("value", "ascending")]
+
+_TYPE_KEYS = ["user_id", "event_type"]
+
+
+def _type_counts(t: pa.Table) -> pa.Table:
+    """A block's partial (user_id, event_type) event counts ``n``."""
+    g = t.group_by(_TYPE_KEYS).aggregate([([], "count_all")])
+    return pa.table({"user_id": g["user_id"], "event_type": g["event_type"],
+                     "n": g["count_all"]})
 
 
 def user_value_median(sf_dir: str) -> pd.DataFrame:
@@ -530,41 +544,26 @@ def user_value_median(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: per-TYPE quantiles (5 groups) can afford map_groups
     (events_value_quantiles); per-USER cardinality scales with the corpus,
-    so this uses the coarse hash bucket + ONE vectorized pass per bucket:
-    sort by (user, value), per-user segment starts via np.flatnonzero,
-    element pick at start + ceil(n/2) - 1."""
-    from ..stages.partial_agg import add_hash_bucket
+    so this uses the user-hash bucket pass + ONE vectorized pass per
+    (user, value)-sorted bucket: per-user segment starts, element pick at
+    start + ceil(n/2) - 1."""
+    schema = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64()),
+                        ("median_value", pa.float64())])
 
-    ds = _events(sf_dir, ["user_id", "value"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def med_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "value"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        vals = g["value"].to_numpy(np.float64)
-        if not len(users):
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype=np.int64),
-                 "n_events": pd.Series([], dtype=np.int64),
-                 "median_value": pd.Series([], dtype=np.float64)}
-            )
-        starts = np.flatnonzero(np.concatenate([[True], users[1:] != users[:-1]]))
-        seg_len = np.diff(np.append(starts, len(users)))
-        pick = starts + np.ceil(seg_len / 2).astype(np.int64) - 1
-        return pd.DataFrame(
-            {"user_id": users[starts],
-             "n_events": seg_len.astype(np.int64),
-             "median_value": vals[pick]}
-        )
-
-    norm = pin_schema({"user_id": "int64", "n_events": "int64", "median_value": "float64"})
+    def median(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        vals = t["value"].to_numpy()
+        starts, seg_len = _runs(users)
+        pick = starts + (seg_len + 1) // 2 - 1
+        return {"user_id": users[starts], "n_events": seg_len,
+                "median_value": vals[pick]}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(med_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(_events(sf_dir, ["user_id", "value"]), _BY_VALUE,
+                          median, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -577,33 +576,33 @@ def user_mode_type(sf_dir: str) -> pd.DataFrame:
     (PARTITION BY user ORDER BY cnt DESC, type) = 1`` shape over grouped
     counts.
 
-    Scale shape: (user, type) counts via hash_bucket_sum (per-block
-    partial counts ride the shuffle, not raw events), then the shared
-    grouped_topn stage with n=1 — a per-batch partial argmax combiner and
-    a hash-bucketed vectorized final cut."""
-    from ..stages.partial_agg import grouped_topn, hash_bucket_sum
+    Scale shape: ONE user-hash bucket shuffle of per-block (user, type)
+    partial counts (the shuffle carries count rows, not events); the
+    bucket pass combines the partials and picks each user's top count in
+    one stable lexsort (type order breaks ties)."""
+    schema = pa.schema([("user_id", pa.int64()), ("top_type", pa.string()),
+                        ("n", pa.int64())])
 
-    ds = _events(sf_dir, ["user_id", "event_type"])
-    counts = hash_bucket_sum(ds, ["user_id", "event_type"], [], count_alias="n")
+    def mode(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        ut, _ = _runs(users, t["event_type"].to_numpy())
+        n = np.add.reduceat(t["n"].to_numpy(), ut)  # (user, type) counts
+        starts, seg_len = _runs(users[ut])
+        # stable: within a user, count descending, then type ascending
+        best = np.lexsort((-n, np.repeat(np.arange(len(starts)), seg_len)))
+        best = best[starts]
+        return {"user_id": users[ut][best],
+                "top_type": t["event_type"].take(ut[best]), "n": n[best]}
 
-    def drop_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if "n" not in df.columns:  # empty sort partition passthrough
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype="int64"),
-                 "event_type": pd.Series([], dtype="object"),
-                 "n": pd.Series([], dtype="int64")}
-            )
-        return df[["user_id", "event_type", "n"]]
-
-    top = grouped_topn(
-        counts.map_batches(drop_bucket, batch_format="pandas"),
-        "user_id", ["n", "event_type"], [False, True], 1,
-        payload_cols=["user_id", "event_type", "n"],
-        out_dtypes={"user_id": "int64", "event_type": "object", "n": "int64"},
-    ).to_pandas()
     return (
-        top.rename(columns={"event_type": "top_type"})
-        [["user_id", "top_type", "n"]]
+        collect_table(
+            _user_buckets(
+                _events(sf_dir, _TYPE_KEYS).map_batches(
+                    _type_counts, batch_format="pyarrow"),
+                [(k, "ascending") for k in _TYPE_KEYS], mode, schema),
+            schema,
+        )
+        .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
     )
@@ -614,41 +613,31 @@ def user_first_last(sf_dir: str) -> pd.DataFrame:
     window shape ordered by (ts, event_id)): one row per user with the
     first and last event_type and their timestamps.
 
-    Scale shape: coarse hash bucket of user_id, ONE vectorized pass per
-    bucket — sort by (user, ts, event_id), per-user segment starts/ends
-    via np.flatnonzero; no per-user map_groups."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the user-hash bucket pass, ONE vectorized pass per
+    (user, ts, event_id)-sorted bucket — per-user segment starts/ends
+    gathered with ``take``; no per-user map_groups."""
+    schema = pa.schema([("user_id", pa.int64()),
+                        ("first_type", pa.string()),
+                        ("first_ts", pa.timestamp("us")),
+                        ("last_type", pa.string()),
+                        ("last_ts", pa.timestamp("us"))])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    cols = {"user_id": "int64",
-            "first_type": "object", "first_ts": "datetime64[us]",
-            "last_type": "object", "last_ts": "datetime64[us]"}
-
-    def fl_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        if not len(users):
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        starts = np.flatnonzero(np.concatenate([[True], users[1:] != users[:-1]]))
-        ends = np.append(starts[1:], len(users)) - 1
-        types = g["event_type"].to_numpy()
-        ts = g["ts"].to_numpy("datetime64[us]")
-        return pd.DataFrame(
-            {"user_id": users[starts],
-             "first_type": types[starts], "first_ts": ts[starts],
-             "last_type": types[ends], "last_ts": ts[ends]}
-        )
-
-    norm = pin_schema(cols)
+    def first_last(t: pa.Table) -> dict:
+        starts, seg_len = _runs(t["user_id"].to_numpy())
+        ends = starts + seg_len - 1
+        return {"user_id": t["user_id"].take(starts),
+                "first_type": t["event_type"].take(starts),
+                "first_ts": t["ts"].take(starts),
+                "last_type": t["event_type"].take(ends),
+                "last_ts": t["ts"].take(ends)}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(fl_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(
+                _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+                _BY_TIME, first_last, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -666,64 +655,34 @@ def rolling_range_sum(sf_dir: str) -> pd.DataFrame:
     are INCLUDED, so equal-ts rows of one user all get the peer-group
     total.
 
-    Scale shape: coarse hash bucket of user_id, then ONE vectorized pass
-    per bucket. Window boundaries per row come from a merge trick instead
+    Scale shape: the user-hash bucket pass, then ONE vectorized pass per
+    bucket. Window boundaries per row come from a merge trick instead
     of a per-user searchsorted loop: concatenate the sorted (seg, ts)
     originals with (seg, ts - 1h) targets, lexsort once, and a cumsum of
     the original-indicator read off at target positions IS searchsorted
     of every target within its own segment. Sum = prefix-sum difference."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-
-    def widen(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [t["event_id"].combine_chunks(), t["user_id"].combine_chunks(),
-             t["ts"].combine_chunks(), _cents(t["value"])],
-            names=["event_id", "user_id", "ts", "value_c"],
-        )
-
-    bucketed = ds.map_batches(widen, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
     gap_us = ROLLING_RANGE_MIN * 60 * 1_000_000
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("window_sum_c", pa.int64())])
 
-    def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        if not len(users):
-            return pd.DataFrame(
-                {"event_id": pd.Series([], dtype=np.int64),
-                 "user_id": pd.Series([], dtype=np.int64),
-                 "window_sum_c": pd.Series([], dtype=np.int64)}
-            )
-        ts = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        v = g["value_c"].to_numpy(np.int64)
-        seg_id = np.cumsum(
-            np.concatenate([[0], (users[1:] != users[:-1]).astype(np.int64)])
-        )
-        left = seg_searchsorted(seg_id, ts, ts - gap_us, "left")
-        right = seg_searchsorted(seg_id, ts, ts, "right")  # peers included
-        seg_starts = np.flatnonzero(
-            np.concatenate([[True], users[1:] != users[:-1]])
-        )
-        seg_len = np.diff(np.append(seg_starts, len(users)))
-        base = np.repeat(seg_starts, seg_len)
+    def roll(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        us = _us(t["ts"])
+        v = _cents(t["value"]).to_numpy()
+        starts, seg_len = _runs(users)
+        seg_id = np.repeat(np.arange(len(starts)), seg_len)
+        left = seg_searchsorted(seg_id, us, us - gap_us, "left")
+        right = seg_searchsorted(seg_id, us, us, "right")  # peers included
+        base = np.repeat(starts, seg_len)
         cs = np.concatenate([[0], np.cumsum(v)])
-        win = cs[base + right] - cs[base + left]
-        return pd.DataFrame(
-            {"event_id": g["event_id"].to_numpy(np.int64),
-             "user_id": users, "window_sum_c": win}
-        )
+        return {"event_id": t["event_id"], "user_id": t["user_id"],
+                "window_sum_c": cs[base + right] - cs[base + left]}
 
-    norm = pin_schema({"event_id": "int64", "user_id": "int64", "window_sum_c": "int64"})
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(roll_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                      _BY_TIME, roll, schema),
+        schema,
+    ).to_pandas()
     res["window_sum"] = res["window_sum_c"] / 100.0
     return res[["event_id", "user_id", "window_sum"]].sort_values(
         "event_id"
@@ -739,61 +698,27 @@ def moving_avg(sf_dir: str) -> pd.DataFrame:
     PRECEDING AND CURRENT ROW)``. Exact-cents sums divided once at the
     end, mirroring the SQL twin's integer-sum / count / 100 order.
 
-    Scale shape: coarse hash bucket, one vectorized pass per bucket —
-    prefix-sum difference with the left edge clamped to the user's
-    segment start (np.maximum, no per-user loop)."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-
-    def widen(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [t["event_id"].combine_chunks(), t["user_id"].combine_chunks(),
-             t["ts"].combine_chunks(), _cents(t["value"])],
-            names=["event_id", "user_id", "ts", "value_c"],
-        )
-
-    bucketed = ds.map_batches(widen, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    Scale shape: the user-hash bucket pass, one vectorized pass per
+    bucket — prefix-sum difference with the left edge clamped to the
+    user's segment start (np.maximum, no per-user loop)."""
     w = MOVING_AVG_ROWS
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("win_c", pa.int64()), ("k", pa.int64())])
 
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        if not len(users):
-            return pd.DataFrame(
-                {"event_id": pd.Series([], dtype=np.int64),
-                 "user_id": pd.Series([], dtype=np.int64),
-                 "win_c": pd.Series([], dtype=np.int64),
-                 "k": pd.Series([], dtype=np.int64)}
-            )
-        v = g["value_c"].to_numpy(np.int64)
-        n = len(v)
-        seg_starts = np.flatnonzero(
-            np.concatenate([[True], users[1:] != users[:-1]])
-        )
-        seg_len = np.diff(np.append(seg_starts, n))
-        base = np.repeat(seg_starts, seg_len)
-        i = np.arange(n, dtype=np.int64)
-        left = np.maximum(i - (w - 1), base)
+    def roll(t: pa.Table) -> dict:
+        v = _cents(t["value"]).to_numpy()
+        starts, seg_len = _runs(t["user_id"].to_numpy())
+        i = np.arange(len(v), dtype=np.int64)
+        left = np.maximum(i - (w - 1), np.repeat(starts, seg_len))
         cs = np.concatenate([[0], np.cumsum(v)])
-        return pd.DataFrame(
-            {"event_id": g["event_id"].to_numpy(np.int64),
-             "user_id": users,
-             "win_c": cs[i + 1] - cs[left],
-             "k": i - left + 1}
-        )
+        return {"event_id": t["event_id"], "user_id": t["user_id"],
+                "win_c": cs[i + 1] - cs[left], "k": i - left + 1}
 
-    norm = pin_schema({"event_id": "int64", "user_id": "int64",
-                "win_c": "int64", "k": "int64"})
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(roll, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                      _BY_TIME, roll, schema),
+        schema,
+    ).to_pandas()
     res["moving_avg"] = res["win_c"] / res["k"] / 100.0
     return res[["event_id", "user_id", "moving_avg"]].sort_values(
         "event_id"
@@ -809,51 +734,32 @@ def band_pair_counts(sf_dir: str) -> pd.DataFrame:
     non-equi time-band join Ray Data has no primitive for, expressed as
     equi-bucket on the join key + ONE vectorized window pass per bucket.
 
-    Scale shape: the only shuffle is the coarse user-hash bucketing (the
-    same partitioning key every other per-user operator here reuses); the
+    Scale shape: the only shuffle is the user-hash bucket pass (the same
+    partitioning key every other per-user operator here reuses); the
     quadratic pair set is never materialized — per-row pair counts come
     from two ``seg_searchsorted`` calls (prefix-rank difference), and the
     per-user reduction is a segment ``reduceat``. Skewed users cost
     O(n log n) in their bucket, not O(n^2)."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["event_id", "user_id", "ts"])
     w_us = BAND_W_HOURS * 3600 * 1_000_000
+    schema = pa.schema([("user_id", pa.int64()), ("n_pairs", pa.int64())])
 
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def band_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        if not len(users):
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype=np.int64),
-                 "n_pairs": pd.Series([], dtype=np.int64)}
-            )
-        ts = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        seg_id = np.cumsum(
-            np.concatenate([[0], (users[1:] != users[:-1]).astype(np.int64)])
-        )
+    def band(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        us = _us(t["ts"])
+        starts, seg_len = _runs(users)
+        seg_id = np.repeat(np.arange(len(starts)), seg_len)
         # pairs per LEFT row: strictly-later rows up to ts + W (inclusive)
-        upper = seg_searchsorted(seg_id, ts, ts + w_us, "right")
-        lower = seg_searchsorted(seg_id, ts, ts, "right")
-        per_row = upper - lower
-        seg_starts = np.flatnonzero(
-            np.concatenate([[True], users[1:] != users[:-1]])
-        )
-        return pd.DataFrame(
-            {"user_id": users[seg_starts],
-             "n_pairs": np.add.reduceat(per_row, seg_starts)}
-        )
-
-    norm = pin_schema({"user_id": "int64", "n_pairs": "int64"})
+        upper = seg_searchsorted(seg_id, us, us + w_us, "right")
+        lower = seg_searchsorted(seg_id, us, us, "right")
+        return {"user_id": users[starts],
+                "n_pairs": np.add.reduceat(upper - lower, starts)}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(band_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts"]),
+                          _BY_TIME, band, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -871,54 +777,30 @@ def user_type_entropy(sf_dir: str) -> pd.DataFrame:
     to per-(user, type) partial counts (the shuffle carries count rows,
     not events); the bucket pass combines the partials AND folds the
     entropy in the same vectorized reduceat sweep — no second exchange."""
-    from ..stages.partial_agg import add_hash_bucket
+    schema = pa.schema([("user_id", pa.int64()), ("entropy", pa.float64())])
 
-    ds = _events(sf_dir, ["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = (
-            t.to_pandas()
-            .groupby(["user_id", "event_type"], as_index=False, sort=False)
-            .size()
-            .rename(columns={"size": "n"})
-        )
-        return _from_pandas(g)
-
-    bucketed = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def ent_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype=np.int64),
-                 "entropy": pd.Series([], dtype=np.float64)}
-            )
-        g = (
-            g.groupby(["user_id", "event_type"], as_index=False, sort=False)["n"]
-            .sum()
-            .sort_values(["user_id", "event_type"], kind="mergesort")
-        )
-        users = g["user_id"].to_numpy()
-        c = g["n"].to_numpy(np.float64)
-        seg_starts = np.flatnonzero(
-            np.concatenate([[True], users[1:] != users[:-1]])
-        )
-        n = np.add.reduceat(g["n"].to_numpy(np.int64), seg_starts)
-        slnc = np.add.reduceat(c * np.log(c), seg_starts)  # c >= 1 always
-        ent = np.log(n.astype(np.float64)) - slnc / n.astype(np.float64)
-        ent6 = (
-            pc.round(pa.array(ent), ndigits=6, round_mode="half_towards_infinity")
-            .to_numpy(zero_copy_only=False)
-        )
-        return pd.DataFrame({"user_id": users[seg_starts], "entropy": ent6})
-
-    norm = pin_schema({"user_id": "int64", "entropy": "float64"})
+    def entropy(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        ut, _ = _runs(users, t["event_type"].to_numpy())
+        n_t = np.add.reduceat(t["n"].to_numpy(), ut)  # (user, type) counts
+        users = users[ut]
+        c = n_t.astype(np.float64)
+        starts, _ = _runs(users)
+        n = np.add.reduceat(n_t, starts).astype(np.float64)
+        slnc = np.add.reduceat(c * np.log(c), starts)  # c >= 1 always
+        ent = pa.array(np.log(n) - slnc / n)
+        return {"user_id": users[starts],
+                "entropy": pc.round(ent, ndigits=6,
+                                    round_mode="half_towards_infinity")}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(ent_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(
+                _events(sf_dir, _TYPE_KEYS).map_batches(
+                    _type_counts, batch_format="pyarrow"),
+                [(k, "ascending") for k in _TYPE_KEYS], entropy, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -930,37 +812,29 @@ def user_event_path(sf_dir: str) -> pd.DataFrame:
     event types in (ts, event_id) order plus its length — the
     ``string_agg(... ORDER BY ts, event_id)`` ordered-aggregate shape.
 
-    Scale shape: coarse user-hash bucket, one sort per bucket, then a
-    pandas C-level groupby join — no per-user map_groups, no driver-side
-    state; output rows are user-cardinality."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the user-hash bucket pass, one sort per bucket, then
+    each user's run of types becomes one list (offsets at the run
+    starts) joined by ``binary_join`` — no per-user map_groups, no
+    driver-side state; output rows are user-cardinality."""
+    schema = pa.schema([("user_id", pa.int64()), ("path", pa.string()),
+                        ("n_steps", pa.int64())])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def path_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype=np.int64),
-                 "path": pd.Series([], dtype=object),
-                 "n_steps": pd.Series([], dtype=np.int64)}
-            )
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        agg = g.groupby("user_id", sort=True)["event_type"].agg([
-            (">".join).__call__, "size"
-        ])
-        agg.columns = ["path", "n_steps"]
-        return agg.reset_index()
-
-    norm = pin_schema({"user_id": "int64", "path": "object", "n_steps": "int64"})
+    def path(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        starts, seg_len = _runs(users)
+        offsets = pa.array(np.append(starts, len(users)), pa.int32())
+        steps = pa.ListArray.from_arrays(offsets,
+                                         t["event_type"].combine_chunks())
+        return {"user_id": users[starts], "path": pc.binary_join(steps, ">"),
+                "n_steps": seg_len}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(path_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(
+                _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+                _BY_TIME, path, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -979,63 +853,55 @@ def funnel_counts(sf_dir: str) -> pd.DataFrame:
     the step type; NULL steps fail the comparison).
 
     Scale shape: ONE user-hash bucket shuffle. Blocks shrink to
-    per-(user, step) partial min-ts rows first (min is idempotent, so the
-    partial/final split is exact); the bucket pass combines the minima,
-    pivots, and evaluates the stage booleans in the same sweep, emitting
-    ONE partial row per bucket; the driver folds O(buckets) rows."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["user_id", "ts", "event_type"])
+    per-(user, type) partial min-ts rows first (min is idempotent, so the
+    partial/final split is exact; every type is kept so that a user with
+    no step event still counts as a user, as in the SQL twin); the bucket
+    pass combines the minima, spreads the steps' minima to one slot per
+    (user, step), and evaluates the stage booleans in the same sweep,
+    emitting ONE partial row per bucket; the driver folds O(buckets)
+    rows."""
+    keys = ["user_id", "event_type"]
+    schema = pa.schema([("n_signup", pa.int64()),
+                        ("n_signup_click", pa.int64()),
+                        ("n_funnel", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        f = t.filter(
-            pc.is_in(t["event_type"], value_set=pa.array(list(FUNNEL_STEPS)))
-        )
-        g = (
-            f.to_pandas()
-            .groupby(["user_id", "event_type"], as_index=False, sort=False)["ts"]
-            .min()
-        )
-        return _from_pandas(g)
+        g = t.group_by(keys).aggregate([("ts", "min")])
+        return pa.table({"user_id": g["user_id"], "event_type": g["event_type"],
+                         "ts": g["ts_min"]})
 
-    bucketed = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=np.int64)
-                 for c in ("n_signup", "n_signup_click", "n_funnel")}
-            )
-        g = g.groupby(["user_id", "event_type"], as_index=False, sort=False)[
-            "ts"
-        ].min()
-        wide = g.pivot(index="user_id", columns="event_type", values="ts")
+    def fold(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        types = t["event_type"].to_numpy()
+        us = _us(t["ts"])
+        # sorted by (user, type, ts): each (user, type) run opens with
+        # its minimum
+        firsts, _ = _runs(users, types)
+        starts, seg_len = _runs(users)
+        user_idx = np.repeat(np.arange(len(starts)), seg_len)
+        first = {}  # step -> (has, ts) per user
         for step in FUNNEL_STEPS:
-            if step not in wide.columns:
-                wide[step] = pd.NaT
-        s0 = wide["signup"].notna()
-        s1 = s0 & (wide["click"] > wide["signup"])
-        s2 = s1 & (wide["purchase"] > wide["click"])
-        return pd.DataFrame(
-            {"n_signup": [int(s0.sum())],
-             "n_signup_click": [int(s1.sum())],
-             "n_funnel": [int(s2.sum())]}
-        )
+            at = firsts[types[firsts] == step]
+            has = np.zeros(len(starts), dtype=bool)
+            ts = np.zeros(len(starts), dtype=np.int64)
+            has[user_idx[at]] = True
+            ts[user_idx[at]] = us[at]
+            first[step] = (has, ts)
+        (h0, t0), (h1, t1), (h2, t2) = (first[s] for s in FUNNEL_STEPS)
+        s1 = h0 & h1 & (t1 > t0)
+        s2 = s1 & h2 & (t2 > t1)
+        return {"n_signup": [h0.sum()], "n_signup_click": [s1.sum()],
+                "n_funnel": [s2.sum()]}
 
-    part = (
-        bucketed.groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(
-            pin_schema({"n_signup": "int64", "n_signup_click": "int64",
-                        "n_funnel": "int64"}),
-            batch_format="pandas",
-        )  # empty sort partitions pass through with their INPUT schema
-        .to_pandas()  # O(buckets) partial rows
-    )
-    out = part.sum().to_frame().T.astype(np.int64)
-    return out[["n_signup", "n_signup_click", "n_funnel"]]
+    part = collect_table(  # O(buckets) partial rows
+        _user_buckets(
+            _events(sf_dir, ["user_id", "ts", "event_type"]).map_batches(
+                partial, batch_format="pyarrow"),
+            [(k, "ascending") for k in keys + ["ts"]], fold, schema),
+        schema,
+    ).to_pandas()
+    # SQL SUM: NULL when there is no user at all, else an exact count
+    return part.sum(min_count=1).to_frame().T
 
 
 def new_users_daily(sf_dir: str) -> pd.DataFrame:
@@ -1056,25 +922,16 @@ def new_users_daily(sf_dir: str) -> pd.DataFrame:
     first = hash_bucket_min(ds, ["user_id"], ["ts"])
 
     def day_counts(t: pa.Table) -> pa.Table:
-        # defensive only: hash_bucket_min's combine output AND the raw
-        # passthrough schema both contain ts, so this branch is
-        # unreachable today; real empty blocks fall through to the
-        # normal path, where strftime/groupby on zero rows is benign
-        if "ts" not in t.column_names:
-            return pa.Table.from_pydict(
-                {"day": pa.array([], pa.string()),
-                 "n_new": pa.array([], pa.int64())}
-            )
         day = pc.strftime(t["ts"], format="%Y-%m-%d")
-        g = pa.Table.from_arrays([day], names=["day"]).to_pandas()
-        out = g.groupby("day", as_index=False).size().rename(
-            columns={"size": "n_new"}
-        )
-        return _from_pandas(out)
+        g = pa.table({"day": day}).group_by("day").aggregate([([], "count_all")])
+        return pa.table({"day": g["day"], "n_new": g["count_all"]})
 
     counts = (
-        first.map_batches(day_counts, batch_format="pyarrow")
-        .to_pandas()  # O(blocks * days)
+        collect_table(  # O(blocks * days)
+            first.map_batches(day_counts, batch_format="pyarrow"),
+            pa.schema([("day", pa.string()), ("n_new", pa.int64())]),
+        )
+        .to_pandas()
         .groupby("day", as_index=False)["n_new"].sum()
         .sort_values("day", kind="mergesort")
         .reset_index(drop=True)
@@ -1091,44 +948,30 @@ def user_value_mad(sf_dir: str) -> pd.DataFrame:
     the SQL twin's two-level quantile).
 
     Scale shape: ONE user-hash bucket shuffle, then both quantile passes
-    run vectorized inside the bucket (sort by (user, value) for the
-    median, re-lexsort by (user, |value - median|) for the MAD) — no
+    run vectorized inside the (user, value)-sorted bucket (the median
+    pick, then a re-lexsort by (user, |value - median|) for the MAD) — no
     join-back shuffle for the second pass, no per-user map_groups."""
-    from ..stages.partial_agg import add_hash_bucket
+    schema = pa.schema([("user_id", pa.int64()),
+                        ("median_value", pa.float64()), ("mad", pa.float64())])
 
-    ds = _events(sf_dir, ["user_id", "value"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def mad_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {"user_id": pd.Series([], dtype=np.int64),
-                 "median_value": pd.Series([], dtype=np.float64),
-                 "mad": pd.Series([], dtype=np.float64)}
-            )
-        g = g.sort_values(["user_id", "value"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        vals = g["value"].to_numpy(np.float64)
-        starts = np.flatnonzero(np.concatenate([[True], users[1:] != users[:-1]]))
-        seg_len = np.diff(np.append(starts, len(users)))
-        pick = starts + np.ceil(seg_len / 2).astype(np.int64) - 1
+    def mad(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        vals = t["value"].to_numpy()
+        starts, seg_len = _runs(users)
+        pick = starts + (seg_len + 1) // 2 - 1
         med = vals[pick]
         absdev = np.abs(vals - np.repeat(med, seg_len))
         # second quantile pass: re-sort by (user, absdev) — same segments
         order = np.lexsort((absdev, users))
-        mad = absdev[order][pick]
-        return pd.DataFrame(
-            {"user_id": users[starts], "median_value": med, "mad": mad}
-        )
-
-    norm = pin_schema({"user_id": "int64", "median_value": "float64", "mad": "float64"})
+        return {"user_id": users[starts], "median_value": med,
+                "mad": absdev[order][pick]}
 
     return (
-        bucketed.groupby("bucket")
-        .map_groups(mad_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(
+            _user_buckets(_events(sf_dir, ["user_id", "value"]), _BY_VALUE,
+                          mad, schema),
+            schema,
+        )
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -1152,46 +995,37 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
     O(cohorts * offsets) partial rows per bucket; the driver folds
     O(buckets * cohorts * offsets) calendar-bounded rows — never user- or
     event-scaled."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["user_id", "ts"])
+    keys = ["user_id", "day"]
+    schema = pa.schema([("cohort_day", pa.string()),
+                        ("day_offset", pa.int64()), ("n_users", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        day = pc.strftime(t["ts"], format="%Y-%m-%d")
-        g = pa.Table.from_arrays(
-            [t["user_id"].combine_chunks(), day], names=["user_id", "day"]
-        ).to_pandas().drop_duplicates()
-        return _from_pandas(g)
+        return pa.table(
+            {"user_id": t["user_id"], "day": pc.cast(t["ts"], pa.date32())}
+        ).group_by(keys).aggregate([])
 
-    bucketed = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    def fold(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        day = t["day"].cast(pa.int32()).to_numpy()
+        distinct, _ = _runs(users, day)
+        day = day[distinct]
+        starts, seg_len = _runs(users[distinct])
+        cohort = np.repeat(day[starts], seg_len)
+        keep = day - cohort <= RETENTION_MAX_OFFSET
+        g = pa.table(
+            {"cohort_day": pa.array(cohort[keep]).cast(pa.date32()),
+             "day_offset": (day - cohort)[keep].astype(np.int64)}
+        ).group_by(["cohort_day", "day_offset"]).aggregate([([], "count_all")])
+        return {"cohort_day": g["cohort_day"].cast(pa.string()),
+                "day_offset": g["day_offset"], "n_users": g["count_all"]}
 
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {"cohort_day": str, "day_offset": np.int64, "n_users": np.int64}
-        if not len(g):
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        g = g.drop_duplicates(["user_id", "day"])
-        d = pd.to_datetime(g["day"])
-        cohort = d.groupby(g["user_id"]).transform("min")
-        off = (d - cohort).dt.days.to_numpy(np.int64)
-        keep = off <= RETENTION_MAX_OFFSET
-        out = pd.DataFrame(
-            {"cohort_day": cohort[keep].dt.strftime("%Y-%m-%d"),
-             "day_offset": off[keep]}
-        ).groupby(["cohort_day", "day_offset"], as_index=False).size().rename(
-            columns={"size": "n_users"}
-        )
-        return out.astype(cols)
-
-    norm = pin_schema({"cohort_day": str, "day_offset": np.int64, "n_users": np.int64})
-
-    part = (
-        bucketed.groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()  # O(buckets * cohorts * offsets)
-    )
+    part = collect_table(  # O(buckets * cohorts * offsets)
+        _user_buckets(
+            _events(sf_dir, ["user_id", "ts"]).map_batches(
+                partial, batch_format="pyarrow"),
+            [(k, "ascending") for k in keys], fold, schema),
+        schema,
+    ).to_pandas()
     out = (
         part.groupby(["cohort_day", "day_offset"], as_index=False)["n_users"]
         .sum()
@@ -1218,30 +1052,24 @@ def window_distinct_users(sf_dir: str) -> pd.DataFrame:
 
     def widen(t: pa.Table) -> pa.Table:
         hour = pc.strftime(t["ts"], format="%Y-%m-%d %H:00:00")
-        g = pa.Table.from_arrays(
-            [hour, t["user_id"].combine_chunks()],
-            names=["window_start", "user_id"],
-        ).to_pandas().drop_duplicates()
-        return _from_pandas(g)
+        return pa.table({"window_start": hour, "user_id": t["user_id"]}
+                        ).group_by(["window_start", "user_id"]).aggregate([])
+
+    def count_partial(t: pa.Table) -> pa.Table:
+        g = t.group_by("window_start").aggregate([([], "count_all")])
+        return pa.table({"window_start": g["window_start"],
+                         "n_users": g["count_all"]})
 
     deduped = hash_bucket_sum(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["window_start", "user_id"], [],
     )
-
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "window_start" not in df.columns:
-            return pd.DataFrame(
-                {"window_start": pd.Series([], dtype=str),
-                 "n_users": pd.Series([], dtype=np.int64)}
-            )
-        return df.groupby("window_start", as_index=False).size().rename(
-            columns={"size": "n_users"}
-        )
-
     out = (
-        deduped.map_batches(count_partial, batch_format="pandas")
-        .to_pandas()  # O(blocks * windows)
+        collect_table(  # O(blocks * windows)
+            deduped.map_batches(count_partial, batch_format="pyarrow"),
+            pa.schema([("window_start", pa.string()), ("n_users", pa.int64())]),
+        )
+        .to_pandas()
         .groupby("window_start", as_index=False)["n_users"].sum()
         .sort_values("window_start", kind="mergesort")
         .reset_index(drop=True)
@@ -1260,62 +1088,47 @@ def first_touch_attribution(sf_dir: str) -> pd.DataFrame:
     idempotent, counts are additive); each bucket resolves the true
     first event and purchase totals vectorized and emits O(types)
     partial rows; the driver folds O(buckets * types)."""
-    from ..stages.partial_agg import add_hash_bucket
+    schema = pa.schema([("first_type", pa.string()), ("n_users", pa.int64()),
+                        ("n_purchasers", pa.int64())])
 
-    ds = _events(sf_dir, ["user_id", "ts", "event_type", "event_id"])
+    def first_rows(t: pa.Table, n_purch: np.ndarray) -> pa.Table:
+        """Each user's first row of the (user, ts, event_id)-sorted
+        ``t``, with the user's total of ``n_purch``."""
+        starts, _ = _runs(t["user_id"].to_numpy())
+        return t.take(starts).append_column(
+            "n_purch", pa.array(np.add.reduceat(n_purch, starts)))
 
     def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            ["user_id", "ts", "event_id"], kind="mergesort"
-        )
-        first = df.groupby("user_id", as_index=False).first()
-        purch = (
-            df[df["event_type"] == "purchase"]
-            .groupby("user_id", as_index=False).size()
-            .rename(columns={"size": "n_purch"})
-        )
-        out = first.merge(purch, on="user_id", how="left")
-        out["n_purch"] = out["n_purch"].fillna(0).astype(np.int64)
-        return _from_pandas(out)
+        t = t.sort_by(_BY_TIME)
+        bought = pc.equal(t["event_type"], "purchase").to_numpy(
+            zero_copy_only=False)
+        return first_rows(t, bought.astype(np.int64))
 
-    bucketed = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
+    def fold(t: pa.Table) -> dict:
+        first = first_rows(t.drop_columns(["n_purch", "bucket"]),
+                           t["n_purch"].to_numpy())
+        g = pa.table(
+            {"first_type": first["event_type"],
+             "bought": pc.greater(first["n_purch"], 0).cast(pa.int64())}
+        ).group_by("first_type").aggregate([([], "count_all"),
+                                            ("bought", "sum")])
+        return {"first_type": g["first_type"], "n_users": g["count_all"],
+                "n_purchasers": g["bought_sum"]}
 
-    cols = {"first_type": str, "n_users": np.int64, "n_purchasers": np.int64}
-
-    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in cols.items()})
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        purch = g.groupby("user_id", sort=False)["n_purch"].transform("sum")
-        g = g.assign(n_purch_total=purch)
-        first = g.groupby("user_id", as_index=False, sort=False).first()
-        out = first.groupby("event_type", as_index=False).agg(
-            n_users=("user_id", "size"),
-            n_purchasers=("n_purch_total", lambda v: int((v > 0).sum())),
-        ).rename(columns={"event_type": "first_type"})
-        return out.astype(cols)
-
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        if not all(c in df.columns for c in cols):
-            # empty sort partition passed through with its input schema
-            return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in cols.items()})
-        return df[list(cols)].astype(cols)
-
-    part = (
-        bucketed.groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()  # O(buckets * types)
-    )
-    out = (
+    part = collect_table(  # O(buckets * types)
+        _user_buckets(
+            _events(sf_dir, ["user_id", "ts", "event_type", "event_id"])
+            .map_batches(partial, batch_format="pyarrow"),
+            _BY_TIME, fold, schema),
+        schema,
+    ).to_pandas()
+    return (
         part.groupby("first_type", as_index=False)[["n_users", "n_purchasers"]]
         .sum()
         .sort_values("first_type")
         .reset_index(drop=True)
+        .astype({"n_users": np.int64, "n_purchasers": np.int64})
     )
-    return out.astype(cols)
 
 
 def type_islands(sf_dir: str) -> pd.DataFrame:
@@ -1324,50 +1137,37 @@ def type_islands(sf_dir: str) -> pd.DataFrame:
     SCD-style state-change log. One row per island: (user_id, island_seq
     1-based, event_type, n_events, ts_from, ts_to).
 
-    Scale shape: the session_windows kernel — coarse user-hash buckets,
-    ONE vectorized pass per bucket (sort, break-point flags, segment
-    slicing); island_seq is the per-user cumsum of break flags, computed
-    by subtracting each user's running-break base (np.repeat over
-    segment lengths), never a per-user loop."""
-    from ..stages.partial_agg import add_hash_bucket
+    Scale shape: the session_windows kernel — the user-hash bucket pass,
+    ONE vectorized pass per bucket (break-point flags, segment slicing);
+    island_seq is the per-user cumsum of break flags, computed by
+    subtracting each user's running-break base (np.repeat over segment
+    lengths), never a per-user loop."""
+    schema = pa.schema([("user_id", pa.int64()), ("island_seq", pa.int64()),
+                        ("event_type", pa.string()), ("n_events", pa.int64()),
+                        ("ts_from", pa.timestamp("us")),
+                        ("ts_to", pa.timestamp("us"))])
 
-    ds = _events(sf_dir, ["user_id", "ts", "event_id", "event_type"])
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
-    def islands_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ty = g["event_type"].to_numpy()
-        ts = g["ts"].to_numpy()
-        new_user = np.concatenate([[True], u[1:] != u[:-1]])
-        brk = new_user | np.concatenate([[True], ty[1:] != ty[:-1]])
+    def islands(t: pa.Table) -> dict:
+        u = t["user_id"].to_numpy()
+        ty = t["event_type"].to_numpy()
+        ustarts, ulens = _runs(u)
+        brk = np.ones(len(u), dtype=bool)
+        brk[1:] = (u[1:] != u[:-1]) | (ty[1:] != ty[:-1])
         glob = np.cumsum(brk)  # global island id (1-based)
-        ustarts = np.flatnonzero(new_user)
-        ulens = np.diff(np.append(ustarts, len(u)))
         seq = glob - np.repeat(glob[ustarts] - 1, ulens)  # per-user 1-based
         starts = np.flatnonzero(brk)
         ends = np.append(starts[1:], len(u)) - 1
-        return pd.DataFrame(
-            {"user_id": u[starts], "island_seq": seq[starts],
-             "event_type": ty[starts],
-             "n_events": (ends - starts + 1).astype(np.int64),
-             "ts_from": ts[starts], "ts_to": ts[ends]}
-        )
+        return {"user_id": u[starts], "island_seq": seq[starts],
+                "event_type": t["event_type"].take(starts),
+                "n_events": ends - starts + 1,
+                "ts_from": t["ts"].take(starts), "ts_to": t["ts"].take(ends)}
 
-    cols = {"user_id": "int64", "island_seq": "int64", "event_type": "object",
-            "n_events": "int64", "ts_from": "datetime64[us]",
-            "ts_to": "datetime64[us]"}
-
-    norm = pin_schema(cols)
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(islands_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(
+            _events(sf_dir, ["user_id", "ts", "event_id", "event_type"]),
+            _BY_TIME, islands, schema),
+        schema,
+    ).to_pandas()
     return res.sort_values(["user_id", "island_seq"]).reset_index(drop=True)
 
 
@@ -1399,14 +1199,21 @@ def window_bounds(
     return before[pos[n_c:n_c + n_p]], before[pos[n_c + n_p:]]
 
 
-def window_agg_join(sf_dir: str, n_buckets: int = 128) -> pd.DataFrame:
+def _clicks_and_purchases(ds: rd.Dataset) -> rd.Dataset:
+    return ds.map_batches(
+        lambda t: t.filter(pc.is_in(t["event_type"],
+                                    value_set=pa.array(["purchase", "click"]))),
+        batch_format="pyarrow")
+
+
+def window_agg_join(sf_dir: str) -> pd.DataFrame:
     """Range-join + aggregate: for every purchase, the count and exact
     value sum of the SAME USER's clicks in the preceding 24 h
     [ts-24h, ts). The banded interval join Ray Data lacks, expressed
     scalably: never materializing (purchase x click) pairs.
 
-    Scale shape: ONE user-hash bucket shuffle carries both tagged sides;
-    inside a bucket the window bounds come from a MERGE RANK — probes
+    Scale shape: ONE user-hash bucket shuffle carries both sides; inside
+    a bucket the window bounds come from a MERGE RANK — probes
     (user, ts-w) and (user, ts) are lexsorted together with the
     user-major click stream, and the running click count at each probe
     position IS its global index into the sorted click array (clicks of
@@ -1414,56 +1221,29 @@ def window_agg_join(sf_dir: str, n_buckets: int = 128) -> pd.DataFrame:
     count = hi-lo and the exact cents sum = prefix[hi]-prefix[lo].
     O((P+C) log(P+C)) per bucket regardless of window width or skew —
     no composite key arithmetic, no overflow, no per-user loop."""
-    from ..stages.partial_agg import add_hash_bucket
+    w = WINDOW_JOIN_SEC * 1_000_000
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("ts", pa.timestamp("us")),
+                        ("n_clicks_24h", pa.int64()),
+                        ("click_sum_c", pa.int64())])
 
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type", "value"])
+    def probe(t: pa.Table) -> dict:
+        c = t.filter(pc.equal(t["event_type"], "click"))
+        p = t.filter(pc.equal(t["event_type"], "purchase"))
+        cumv = np.concatenate([[0], np.cumsum(_cents(c["value"]).to_numpy())])
+        lo, hi = window_bounds(c["user_id"].to_numpy(), _us(c["ts"]),
+                               p["user_id"].to_numpy(), _us(p["ts"]), w)
+        return {"event_id": p["event_id"], "user_id": p["user_id"],
+                "ts": p["ts"], "n_clicks_24h": hi - lo,
+                "click_sum_c": cumv[hi] - cumv[lo]}
 
-    def tag(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(
-            t["event_type"], value_set=pa.array(["purchase", "click"])
-        )
-        return add_hash_bucket(t.filter(keep), ["user_id"], n_buckets)
-
-    bucketed = ds.map_batches(tag, batch_format="pyarrow")
-
-    def probe_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        from ..money import cents_np as _cents_np
-
-        c = g[g["event_type"] == "click"].sort_values(
-            ["user_id", "ts"], kind="mergesort"
-        )
-        p = g[g["event_type"] == "purchase"]
-        if not len(p):
-            return pd.DataFrame()
-        cu = c["user_id"].to_numpy(np.int64)
-        cts = c["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cumv = np.concatenate(
-            [[0], np.cumsum(_cents_np(c["value"].to_numpy()))]
-        )
-        pu = p["user_id"].to_numpy(np.int64)
-        pts = p["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        w = WINDOW_JOIN_SEC * 1_000_000
-        lo, hi = window_bounds(cu, cts, pu, pts, w)
-        return pd.DataFrame(
-            {"event_id": p["event_id"].to_numpy(np.int64),
-             "user_id": pu,
-             "ts": p["ts"].to_numpy(),
-             "n_clicks_24h": (hi - lo).astype(np.int64),
-             "click_sum_c": (cumv[hi] - cumv[lo]).astype(np.int64)}
-        )
-
-    cols = {"event_id": "int64", "user_id": "int64",
-            "ts": "datetime64[us]", "n_clicks_24h": "int64",
-            "click_sum_c": "int64"}
-
-    norm = pin_schema(cols)
-
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(probe_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(
+            _clicks_and_purchases(_events(
+                sf_dir, ["event_id", "user_id", "ts", "event_type", "value"])),
+            _BY_TIME, probe, schema),
+        schema,
+    ).to_pandas()
     res["click_value_sum"] = res["click_sum_c"] / 100.0
     return (
         res.drop(columns="click_sum_c")
@@ -1481,61 +1261,37 @@ def click_conversion(sf_dir: str) -> pd.DataFrame:
     (ts, ts+24h] equals the kernel's half-open [P-w, P) at
     P = ts + w + 1us because timestamps are integral microseconds; the
     build side is the user-major purchase stream, probes are clicks.
-    One bucket shuffle, no pair materialization."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["user_id", "ts", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(
-            t["event_type"], value_set=pa.array(["purchase", "click"])
-        )
-        return add_hash_bucket(t.filter(keep), ["user_id"], 128)
-
-    bucketed = ds.map_batches(tag, batch_format="pyarrow")
+    One bucket shuffle, no pair materialization; each bucket emits at
+    most 24 per-hour partial rows, folded on the driver."""
     w = WINDOW_JOIN_SEC * 1_000_000
+    schema = pa.schema([("hour", pa.int64()), ("n_clicks", pa.int64()),
+                        ("n_converted", pa.int64())])
 
-    def probe_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        p = g[g["event_type"] == "purchase"].sort_values(
-            ["user_id", "ts"], kind="mergesort"
-        )
-        c = g[g["event_type"] == "click"]
-        if not len(c):
-            return pd.DataFrame()
-        pu = p["user_id"].to_numpy(np.int64)
-        pts = p["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cu = c["user_id"].to_numpy(np.int64)
-        cts = c["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        lo, hi = window_bounds(pu, pts, cu, cts + w + 1, w)
-        conv = (hi - lo) > 0
-        hour = pd.to_datetime(c["ts"]).dt.hour.to_numpy(np.int64)
-        out = (
-            pd.DataFrame({"hour": hour, "n_clicks": 1,
-                          "n_converted": conv.astype(np.int64)})
-            .groupby("hour", as_index=False)
-            .sum()
-        )
-        return out
+    def probe(t: pa.Table) -> dict:
+        p = t.filter(pc.equal(t["event_type"], "purchase"))
+        c = t.filter(pc.equal(t["event_type"], "click"))
+        lo, hi = window_bounds(p["user_id"].to_numpy(), _us(p["ts"]),
+                               c["user_id"].to_numpy(), _us(c["ts"]) + w + 1, w)
+        g = pa.table(
+            {"hour": pc.hour(c["ts"]), "conv": (hi > lo).astype(np.int64)}
+        ).group_by("hour").aggregate([([], "count_all"), ("conv", "sum")])
+        return {"hour": g["hour"], "n_clicks": g["count_all"],
+                "n_converted": g["conv_sum"]}
 
-    cols = {"hour": "int64", "n_clicks": "int64", "n_converted": "int64"}
-
-    norm = pin_schema(cols)
-
-    from ray.data.aggregate import Sum
-
+    part = collect_table(  # O(buckets * 24) partial rows
+        _user_buckets(
+            _clicks_and_purchases(
+                _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])),
+            _BY_TIME, probe, schema),
+        schema,
+    ).to_pandas()
     agg = (
-        bucketed.groupby("bucket")
-        .map_groups(probe_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .groupby("hour")
-        .aggregate(Sum("n_clicks", alias_name="n_clicks"),
-                   Sum("n_converted", alias_name="n_converted"))
-        .to_pandas()
+        part.groupby("hour", as_index=False)[["n_clicks", "n_converted"]]
+        .sum()
         .sort_values("hour")
         .reset_index(drop=True)
+        .astype(np.int64)
     )
-    agg["n_clicks"] = agg["n_clicks"].astype(np.int64)
-    agg["n_converted"] = agg["n_converted"].astype(np.int64)
     agg["conversion_rate"] = (
         agg["n_converted"].astype(np.float64)
         / agg["n_clicks"].astype(np.float64)
@@ -1548,72 +1304,50 @@ def user_value_p90(sf_dir: str) -> pd.DataFrame:
     high-cardinality variant of events_hdr_quantiles: user count scales
     with the corpus, so the quantile pick itself must be distributed.
 
-    Scale shape: per-block (user, bucket) count partials -> one grouped
-    sum (bounded by users x ~16-per-octave buckets) -> coarse user-hash
-    buckets, and inside each bucket ONE vectorized pass: sort
-    (user, bucket), global cumsum (strictly increasing), per-user rank
-    targets offset by the segment base, and a SINGLE np.searchsorted
-    over the whole cumulative array resolves every user's pick at once
-    — no per-user loop, no driver structure proportional to users."""
-    from ray.data.aggregate import Sum
-
+    Scale shape: per-block (user, bucket) count partials -> the
+    user-hash bucket pass, and inside each bucket ONE vectorized pass:
+    combine the partials (sorted by (user, b)), global cumsum (strictly
+    increasing), per-user rank targets offset by the segment base, and a
+    SINGLE np.searchsorted over the whole cumulative array resolves every
+    user's pick at once — no per-user loop, no driver structure
+    proportional to users."""
     from ..functions.sketch import hdr_bucket, hdr_rep_c
-    from ..money import cents as _money_cents
-    from ..stages.partial_agg import add_hash_bucket
 
-    ds = _events(sf_dir, ["user_id", "value"])
+    keys = ["user_id", "b"]
+    schema = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64()),
+                        ("p90", pa.float64())])
 
-    def bucket_partial(t: pa.Table) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {"user_id": t.column("user_id").to_numpy(),
-                 "b": hdr_bucket(_money_cents(t["value"]).to_numpy())}
-            )
-            .groupby(["user_id", "b"], as_index=False)
-            .size()
-            .rename(columns={"size": "cnt"})
-        )
-        return _from_pandas(g)
+    def partial(t: pa.Table) -> pa.Table:
+        g = pa.table(
+            {"user_id": t["user_id"],
+             "b": hdr_bucket(_cents(t["value"]).to_numpy())}
+        ).group_by(keys).aggregate([([], "count_all")])
+        return pa.table({"user_id": g["user_id"], "b": g["b"],
+                         "cnt": g["count_all"]})
 
-    counts = (
-        ds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby(["user_id", "b"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .map_batches(
-            lambda t: add_hash_bucket(t, ["user_id"], 64),
-            batch_format="pyarrow",
-        )
-    )
-
-    def pick_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "b"], kind="mergesort")
-        u = g["user_id"].to_numpy(np.int64)
-        b = g["b"].to_numpy(np.int64)
-        cnt = g["cnt"].to_numpy(np.int64)
-        C = np.cumsum(cnt)  # strictly increasing (cnt >= 1)
-        starts = np.flatnonzero(
-            np.concatenate([[True], u[1:] != u[:-1]])
-        )
-        ends = np.append(starts[1:], len(u)) - 1
+    def pick(t: pa.Table) -> dict:
+        u = t["user_id"].to_numpy()
+        b = t["b"].to_numpy()
+        ub, _ = _runs(u, b)
+        u, b = u[ub], b[ub]
+        # combined (user, b) counts: cumsum strictly increasing (cnt >= 1)
+        C = np.cumsum(np.add.reduceat(t["cnt"].to_numpy(), ub))
+        starts, seg_len = _runs(u)
+        ends = starts + seg_len - 1
         base = np.where(starts > 0, C[starts - 1], 0)
         n_u = C[ends] - base
         r = (9 * n_u + 9) // 10  # ceil(0.9 n), exact integer rank
         idx = np.searchsorted(C, base + r, side="left")
-        return pd.DataFrame(
-            {"user_id": u[starts], "n_events": n_u,
-             "p90": hdr_rep_c(b[idx]) / 100.0}
-        )
+        return {"user_id": u[starts], "n_events": n_u,
+                "p90": hdr_rep_c(b[idx]) / 100.0}
 
-    cols = {"user_id": "int64", "n_events": "int64", "p90": "float64"}
-
-    norm = pin_schema(cols)
-
-    res = (
-        counts.groupby("bucket")
-        .map_groups(pick_bucket, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(
+            _events(sf_dir, ["user_id", "value"]).map_batches(
+                partial, batch_format="pyarrow"),
+            [(k, "ascending") for k in keys], pick, schema),
+        schema,
+    ).to_pandas()
     return res.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1629,43 +1363,25 @@ def ewma_values(sf_dir: str) -> pd.DataFrame:
     (0.3*x + 0.7*prev, float64), so pre-rounding values are
     bit-identical; emission rounds at 4 dp on both sides.
 
-    Scale shape: one user-hash bucket shuffle, then a single ordered
-    pass per bucket (users are contiguous after the in-bucket sort; the
+    Scale shape: the user-hash bucket pass, then a single ordered pass
+    per bucket (users are contiguous after the in-bucket sort; the
     recurrence resets at each segment start). The sequential dependency
     is PER USER, so parallelism scales with buckets — a user's history
     is the irreducible sequential unit, never the corpus. The Python
     step loop is the price of bit-exact recursion order; at ~10^4 rows
     per bucket it is noise against the shuffle."""
-    from ..stages.partial_agg import add_hash_bucket
-
-    ds = _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-
-    bucketed = ds.map_batches(
-        lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-    )
-
     a = EWMA_ALPHA
     b = 1.0 - EWMA_ALPHA
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("value", pa.float64()), ("ewma", pa.float64())])
 
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"event_id": pd.Series([], dtype=np.int64),
-             "user_id": pd.Series([], dtype=np.int64),
-             "value": pd.Series([], dtype=np.float64),
-             "ewma": pd.Series([], dtype=np.float64)}
-        )
-        if not len(g) or "user_id" not in g.columns:
-            return empty
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        users = g["user_id"].to_numpy()
-        vals = g["value"].to_numpy(np.float64)
-        n = len(vals)
-        out = np.empty(n, dtype=np.float64)
+    def kern(t: pa.Table) -> dict:
+        users = t["user_id"].to_numpy()
+        vals = t["value"].to_numpy()
+        out = np.empty(len(vals), dtype=np.float64)
         prev_u = None
         prev = 0.0
-        for i in range(n):
-            v = float(vals[i])
-            u = users[i]
+        for i, (u, v) in enumerate(zip(users.tolist(), vals.tolist())):
             e = v if u != prev_u else a * v + b * prev
             out[i] = e
             prev = e
@@ -1677,16 +1393,12 @@ def ewma_values(sf_dir: str) -> pd.DataFrame:
         # noise-separated 4-dp emissions (nll/cosine/pmi), where the
         # two sides never land on the same exact midpoint
         r4 = np.sign(out) * np.floor(np.abs(out) * 1e4 + 0.5) / 1e4
-        return pd.DataFrame(
-            {"event_id": g["event_id"].to_numpy(np.int64),
-             "user_id": users.astype(np.int64),
-             "value": vals,
-             "ewma": r4}
-        )
+        return {"event_id": t["event_id"], "user_id": t["user_id"],
+                "value": t["value"], "ewma": r4}
 
-    res = (
-        bucketed.groupby("bucket")
-        .map_groups(kern, batch_format="pandas")
-        .to_pandas()
-    )
+    res = collect_table(
+        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                      _BY_TIME, kern, schema),
+        schema,
+    ).to_pandas()
     return res.sort_values("event_id").reset_index(drop=True)

@@ -10,9 +10,10 @@ Two granularities:
   the shared semantic core (ocr_ray.extract), which guarantees parity
   with the oracle; rule tables and regexes load once per worker at
   import.
-- ``UnitScorer`` — the standalone scorer stage (A1 analog) that emits the
-  dense unit/score table, used by operator-level conformance tests and
-  the fixture queries (FIXTURES.md §3).
+- ``score_units_batch`` — the standalone scorer stage (A1 analog, a
+  stateless task like the fused core) that emits the dense unit/score
+  table, used by operator-level conformance tests and the fixture
+  queries (FIXTURES.md §3).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pyarrow as pa
 from ..extract import extract_turn, propose_spans, score_units
 from ..segment import segment
 
-__all__ = ["extract_batch_counted", "UnitScorer"]
+__all__ = ["extract_batch_counted", "score_units_batch"]
 
 SPAN_SCHEMA = pa.schema(
     [
@@ -103,40 +104,38 @@ def extract_batch_counted(batch: pa.Table, counters: dict[str, int]) -> pa.Table
     )
 
 
-class UnitScorer:
+def score_units_batch(batch: pa.Table) -> pa.Table:
     """Standalone dense-unit scorer (A1 analog): turn batch in -> exploded
     unit table with per-unit geometry and confidence."""
+    conv_ids = batch.column("conv_id").to_pylist()
+    turn_idxs = batch.column("turn_idx").to_pylist()
+    texts = batch.column("text").to_pylist()
+    kinds = (
+        batch.column("kind").to_pylist()
+        if "kind" in batch.column_names
+        else [None] * len(texts)
+    )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        conv_ids = batch.column("conv_id").to_pylist()
-        turn_idxs = batch.column("turn_idx").to_pylist()
-        texts = batch.column("text").to_pylist()
-        kinds = (
-            batch.column("kind").to_pylist()
-            if "kind" in batch.column_names
-            else [None] * len(texts)
-        )
-
-        rows: dict[str, list] = {k: [] for k in UNIT_SCHEMA.names}
-        for cid, tix, text, kind in zip(conv_ids, turn_idxs, texts, kinds):
-            if not text:
-                continue
-            units = segment(text, kind)
-            scores = score_units(units)
-            for i, (u, s) in enumerate(zip(units, scores)):
-                rows["conv_id"].append(cid)
-                rows["turn_idx"].append(tix)
-                rows["unit_idx"].append(i)
-                rows["start"].append(u.start)
-                rows["end"].append(u.end)
-                rows["geo_start"].append(u.geo_start)
-                rows["geo_end"].append(u.geo_end)
-                rows["tag"].append(u.tag)
-                rows["score"].append(float(s))
-        return pa.Table.from_arrays(
-            [pa.array(rows[f.name], f.type) for f in UNIT_SCHEMA],
-            schema=UNIT_SCHEMA,
-        )
+    rows: dict[str, list] = {k: [] for k in UNIT_SCHEMA.names}
+    for cid, tix, text, kind in zip(conv_ids, turn_idxs, texts, kinds):
+        if not text:
+            continue
+        units = segment(text, kind)
+        scores = score_units(units)
+        for i, (u, s) in enumerate(zip(units, scores)):
+            rows["conv_id"].append(cid)
+            rows["turn_idx"].append(tix)
+            rows["unit_idx"].append(i)
+            rows["start"].append(u.start)
+            rows["end"].append(u.end)
+            rows["geo_start"].append(u.geo_start)
+            rows["geo_end"].append(u.geo_end)
+            rows["tag"].append(u.tag)
+            rows["score"].append(float(s))
+    return pa.Table.from_arrays(
+        [pa.array(rows[f.name], f.type) for f in UNIT_SCHEMA],
+        schema=UNIT_SCHEMA,
+    )
 
 
 NESTED_SPAN_TYPE = pa.list_(

@@ -21,7 +21,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 __all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
            "grouped_topn", "pin_schema", "from_pandas", "to_pandas_typed",
            "compact_nonempty", "contiguous_array", "split_ws",
-           "LOCAL_ROW_LIMITS", "local_table", "pin_empty"]
+           "LOCAL_ROW_LIMITS", "local_table", "collect_table", "pin_empty"]
 
 # Row counts below which each gated operator runs its driver-local kernel
 # on one Arrow table instead of its distributed plan: on inputs this small
@@ -144,8 +144,6 @@ def local_table(ds: "rd.Dataset", op: str, schema: pa.Schema):
     kernel also sees its columns on a 0-row input. Each decision is one
     DEBUG record ``(op, n, limit, path)`` on the ``ocr_ray.gates``
     logger."""
-    import ray
-
     n = ds.count()
     limit = LOCAL_ROW_LIMITS[op]
     local = n < limit
@@ -153,8 +151,27 @@ def local_table(ds: "rd.Dataset", op: str, schema: pa.Schema):
                     "local" if local else "distributed")
     if not local:
         return None
-    tabs = [t.select(schema.names) for t in ray.get(ds.to_arrow_refs())
-            if t.num_rows > 0]
+    return collect_table(ds, schema)
+
+
+def collect_table(ds: "rd.Dataset", schema: pa.Schema) -> pa.Table:
+    """``ds`` on the driver as ONE contiguous Arrow table of
+    ``schema.names``, or ``schema.empty_table()`` when no block holds
+    rows.
+
+    Only non-empty blocks are read: Ray Data 2.49 passes 0-row blocks on
+    schema-less (sort fillers, map outputs), so the schema comes from the
+    caller, never from the blocks. The block refs come straight from the
+    executed plan: ``to_arrow_refs`` asks for the dataset schema, which
+    a schema-less leading block turns into a second, ``limit(1)``
+    execution of the whole plan."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    tabs = [BlockAccessor.for_block(b).to_arrow().select(schema.names)
+            for b in ray.get(refs)]
     if not tabs:
         return schema.empty_table()
     return pa.concat_tables(tabs).combine_chunks()
@@ -201,14 +218,17 @@ def pin_schema(cols: dict):
     """Batch normalizer pinning map_groups output to a fixed schema.
 
     An empty sort partition passes through ``groupby().map_groups`` with
-    its INPUT schema (Ray Data 2.49); every grouped pipeline therefore
-    normalizes blocks before the result feeds another shuffle or
-    to_pandas. ``cols`` maps column name -> pandas dtype string; EMPTY
-    blocks missing any output column are replaced by a typed empty frame,
-    non-empty blocks are dtype-pinned (an empty-side pandas concat inside
-    the shuffle can promote int64 -> float64, which must not leak to the
-    result), and a NON-empty block missing a column raises — that is a
-    genuine upstream schema bug, not pass-through noise."""
+    its INPUT schema (Ray Data 2.49); a grouped pipeline with pandas
+    kernels therefore normalizes blocks before the result feeds another
+    shuffle or to_pandas. (Arrow kernels cast their own output to a
+    declared schema and the driver reads it with :func:`collect_table`,
+    as the streaming family does.) ``cols`` maps column name -> pandas
+    dtype string; EMPTY blocks missing any output column are replaced by
+    a typed empty frame, non-empty blocks are dtype-pinned (an empty-side
+    pandas concat inside the shuffle can promote int64 -> float64, which
+    must not leak to the result), and a NON-empty block missing a column
+    raises — that is a genuine upstream schema bug, not pass-through
+    noise."""
     import pandas as pd
 
     def norm(df: "pd.DataFrame") -> "pd.DataFrame":

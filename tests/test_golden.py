@@ -45,11 +45,11 @@ def test_unit_scorer_matches_golden():
     """Operator-level golden (FIXTURES.md §3): dense unit/score table."""
     import pyarrow as pa
 
-    from ocr_ray.stages.extractor import UnitScorer
+    from ocr_ray.stages.extractor import score_units_batch
     from ocr_ray.stages.normalize import normalize_batch
 
     turns = pq.read_table(os.path.join(FIXTURE_DIR, "golden_turns.parquet"))
-    now = UnitScorer()(normalize_batch(turns.select(["conv_id", "turn_idx", "text"])))
+    now = score_units_batch(normalize_batch(turns.select(["conv_id", "turn_idx", "text"])))
     golden = pq.read_table(os.path.join(FIXTURE_DIR, "golden_units.parquet"))
     assert now.equals(golden)
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -1213,3 +1214,62 @@ def test_ewma_midpoint_rounds_half_away():
     r4 = np.sign(x) * np.floor(np.abs(x) * 1e4 + 0.5) / 1e4
     assert r4 == 0.0001  # np.round would give 0.0 (half-even)
     assert np.round(x, 4) == 0.0
+
+
+# --- degenerate inputs across the streaming family -------------------------
+
+
+def _entry():
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if repo not in sys.path:
+        sys.path.insert(0, repo)
+    import __ray_entry__
+
+    return __ray_entry__
+
+
+_STREAMING_QUERIES = sorted(
+    name for name, fn in _entry().queries().items()
+    if fn.__module__ == "ocr_ray.pipelines.streaming"
+)
+
+
+@pytest.fixture(scope="module")
+def degenerate_events(tmp_path_factory):
+    """sf0.001's events cut to 0 rows, to its first row, and to the rows
+    of its busiest user, one directory each."""
+    import pyarrow.compute as pc
+
+    ev = pq.read_table(os.path.join(SF, "events.parquet"))
+    top_user = pc.mode(ev["user_id"])[0]["mode"]
+    cuts = {"empty": ev.slice(0, 0), "one_row": ev.slice(0, 1),
+            "one_user": ev.filter(pc.equal(ev["user_id"], top_user))}
+    dirs = {}
+    for kind, t in cuts.items():
+        d = tmp_path_factory.mktemp(kind)
+        pq.write_table(t, str(d / "events.parquet"))
+        dirs[kind] = str(d)
+    return dirs
+
+
+@pytest.mark.parametrize("kind", ["empty", "one_row", "one_user"])
+@pytest.mark.parametrize("name", _STREAMING_QUERIES)
+def test_streaming_degenerate_matches_oracle(ray_session, degenerate_events,
+                                             name, kind):
+    """Every streaming query answers a 0-row, a 1-row and a one-user
+    events table exactly as its DuckDB twin does: row count, columns,
+    dtypes and values (the tools/check_queries.py comparison)."""
+    import duckdb
+
+    from tools.check_queries import compare, to_pandas
+
+    sf_dir = degenerate_events[kind]
+    entry = _entry()
+    con = duckdb.connect()
+    con.sql("CREATE VIEW events AS SELECT * FROM "
+            f"read_parquet('{sf_dir}/events.parquet')")
+    want = con.sql(entry.oracle_sql()[name]).df()
+    got = to_pandas(entry.queries()[name](sf_dir))
+    assert compare(got, want) == []

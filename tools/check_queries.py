@@ -35,6 +35,37 @@ def canon(df):
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
+def compare(res, exp) -> list[str]:
+    """How a query result differs from its oracle's frame: row count,
+    column names, dtypes, then order-insensitive exact values. Empty
+    when they match."""
+    import numpy as np
+    import pandas.testing as pdt
+
+    res, exp = canon(res), canon(exp)
+    if len(res) != len(exp):
+        return [f"rowcount {len(res)} != {len(exp)}"]
+    if list(res.columns) != list(exp.columns):
+        return [f"columns {list(res.columns)} != {list(exp.columns)}"]
+    # the driver's value hash is dtype-sensitive (round-3 doc_rare_terms
+    # red: identical values, int64 vs float64) — assert dtype equality,
+    # don't just compare stringified values
+    bad = [f"{c}: {res[c].dtype}!={exp[c].dtype}"
+           for c in res.columns if res[c].dtype != exp[c].dtype]
+    if bad:
+        return ["dtypes differ: " + ", ".join(bad)]
+    res, exp = res.copy(), exp.copy()
+    for c in res.columns:
+        if np.issubdtype(res[c].dtype, np.number):
+            res[c] = res[c].astype(float)
+            exp[c] = exp[c].astype(float)
+    try:
+        pdt.assert_frame_equal(res, exp, check_dtype=False, check_exact=True)
+    except AssertionError as e:
+        return [f"values differ: {str(e)[:300]}"]
+    return []
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
@@ -43,7 +74,6 @@ def main() -> int:
     os.environ["GRAFT_ORACLE_SF_DIR"] = sf_dir
 
     import duckdb
-    import numpy as np
     import ray
 
     if not ray.is_initialized():
@@ -69,7 +99,7 @@ def main() -> int:
         if only and name not in only:
             continue
         try:
-            res = canon(to_pandas(fn(sf_dir)))
+            res = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             failures += 1
@@ -78,40 +108,12 @@ def main() -> int:
             print(f"ok   {name}: rows={len(res)} (rows-only, no oracle)")
             continue
         try:
-            exp = canon(con.sql(oracles[name]).df())
+            exp = con.sql(oracles[name]).df()
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: oracle raised {type(e).__name__}: {e}")
             failures += 1
             continue
-        status = []
-        if len(res) != len(exp):
-            status.append(f"rowcount {len(res)} != {len(exp)}")
-        if list(res.columns) != list(exp.columns):
-            status.append(f"columns {list(res.columns)} != {list(exp.columns)}")
-        if not status:
-            # the driver's value hash is dtype-sensitive (round-3
-            # doc_rare_terms red: identical values, int64 vs float64) —
-            # assert dtype equality, don't just compare stringified values
-            bad = [
-                f"{c}: {res[c].dtype}!={exp[c].dtype}"
-                for c in res.columns
-                if res[c].dtype != exp[c].dtype
-            ]
-            if bad:
-                status.append("dtypes differ: " + ", ".join(bad))
-        if not status:
-            try:
-                import pandas.testing as pdt
-
-                res2, exp2 = res.copy(), exp.copy()
-                for c in res2.columns:
-                    if np.issubdtype(res2[c].dtype, np.number):
-                        res2[c] = res2[c].astype(float)
-                        exp2[c] = exp2[c].astype(float)
-                pdt.assert_frame_equal(res2, exp2, check_dtype=False,
-                                       check_exact=True)
-            except AssertionError as e:
-                status.append(f"values differ: {str(e)[:300]}")
+        status = compare(res, exp)
         if status:
             print(f"FAIL {name}: {'; '.join(status)}")
             failures += 1

@@ -54,13 +54,13 @@ def main() -> None:
 
     # operator-level goldens (FIXTURES.md §3): dense scored units (A1/M5
     # stage output) and propose/NMS spans without decode (M4-M8 + D1/D2)
-    from ocr_ray.stages.extractor import UnitScorer, propose_only
+    from ocr_ray.stages.extractor import propose_only, score_units_batch
     from ocr_ray.stages.normalize import normalize_batch
 
     norm = normalize_batch(
         turns.select(["conv_id", "turn_idx", "text"])
     )
-    units = UnitScorer()(norm)
+    units = score_units_batch(norm)
     pq.write_table(units, os.path.join(FIXTURE_DIR, "golden_units.parquet"))
     proposed = propose_only(turns.select(["conv_id", "turn_idx", "text"]))
     pq.write_table(proposed, os.path.join(FIXTURE_DIR, "golden_propose.parquet"))
