@@ -56,7 +56,7 @@ __all__ = ["bpe_merges", "bpe_merges_from_words", "bpe_encode_stats"]
 def _word_counts(docs):
     """Distinct lowercased whitespace words with corpus occurrence
     counts — the weighted vocabulary the trainer iterates on."""
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def toks_of(t: pa.Table) -> pa.Table:
         text = pc.fill_null(contiguous_array(t.column("text")), "")
@@ -66,9 +66,9 @@ def _word_counts(docs):
         nonempty = flat.filter(pc.not_equal(flat, ""))
         return pa.table({"tok": nonempty})
 
-    return hash_bucket_sum(
+    return grouped_agg(
         docs.map_batches(toks_of, batch_format="pyarrow"),
-        ["tok"], [], count_alias="freq",
+        ["tok"], count_alias="freq",
     )
 
 
@@ -170,7 +170,7 @@ def _train(word_counts, k: int):
 
         return chosen, rd.from_arrow(tbl)
 
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     chosen: list[tuple[str, int]] = []
     for rank in range(1, k + 1):
@@ -183,22 +183,16 @@ def _train(word_counts, k: int):
                  "n": pa.array(list(c.values()), pa.int64())}
             )
 
-        def block_top1(df: pd.DataFrame) -> pd.DataFrame:
-            if "pair" not in df.columns or not len(df):
-                return pd.DataFrame(
-                    {"pair": pd.Series([], dtype="object"),
-                     "n": pd.Series([], dtype="int64")}
-                )
-            return df.sort_values(
-                ["n", "pair"], ascending=[False, True], kind="mergesort"
-            ).head(1)[["pair", "n"]]
+        def block_top1(t: pa.Table) -> pa.Table:
+            return t.sort_by([("n", "descending"), ("pair", "ascending")]
+                             ).slice(0, 1).select(["pair", "n"])
 
         cand = (
-            hash_bucket_sum(
+            grouped_agg(
                 words.map_batches(pair_counts, batch_format="pyarrow"),
-                ["pair"], ["n"], count_alias="n_parts",
+                ["pair"], ["n"], count_alias=None,
             )
-            .map_batches(block_top1, batch_format="pandas")
+            .map_batches(block_top1, batch_format="pyarrow")
             .to_pandas()
         )
         if not len(cand):
@@ -237,7 +231,7 @@ def bpe_encode_stats(docs, k: int = 6):
     concatenation is the identity BPE preserves, so no extra column
     rides the k training passes."""
     from ..pipelines.joins import bucket_hash_join
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     _, words = _train(_word_counts(docs), k)
 
@@ -269,29 +263,13 @@ def bpe_encode_stats(docs, k: int = 6):
     stream = docs.map_batches(doc_toks, batch_format="pyarrow")
     joined = bucket_hash_join(stream, seg, on="tok")
 
-    def ones(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": t.column("doc_id"),
-             "n_sub": t.column("n_sub"),
-             "one": pa.array(np.ones(t.num_rows, dtype=np.int64))}
-        )
-
-    per_doc = hash_bucket_sum(
-        joined.map_batches(ones, batch_format="pyarrow"),
-        ["doc_id"], ["n_sub", "one"], count_alias="n_parts",
+    per_doc = grouped_agg(
+        joined.select_columns(["doc_id", "n_sub"]), ["doc_id"], ["n_sub"],
+        count_alias="n_words",
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in df.columns or not len(df):
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "n_words": pd.Series([], dtype="int64"),
-                 "n_subwords": pd.Series([], dtype="int64")}
-            )
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "n_words": df["one"].astype("int64"),
-             "n_subwords": df["n_sub"].astype("int64")}
-        )
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "n_words": t["n_words"],
+                         "n_subwords": t["n_sub"]})
 
-    return per_doc.map_batches(finish, batch_format="pandas")
+    return per_doc.map_batches(finish, batch_format="pyarrow")

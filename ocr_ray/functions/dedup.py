@@ -224,7 +224,7 @@ def _dup_hits(docs: rd.Dataset, window: int) -> rd.Dataset:
     to the window rows. Returns the HIT rows (doc_id, pos, wkey,
     n_tokens) — the duplicated fraction only."""
     from ..pipelines.joins import semi_anti_join
-    from ..stages.partial_agg import compact_nonempty, hash_bucket_sum
+    from ..stages.partial_agg import compact_nonempty, grouped_agg
 
     wins = compact_nonempty(
         docs.map_batches(
@@ -236,7 +236,7 @@ def _dup_hits(docs: rd.Dataset, window: int) -> rd.Dataset:
         k, c = np.unique(t.column("wkey").to_numpy(), return_counts=True)
         return pa.table({"wkey": k, "cnt": c.astype(np.int64)})
 
-    counts = hash_bucket_sum(
+    counts = grouped_agg(
         wins.map_batches(partial_counts, batch_format="pyarrow"),
         keys=["wkey"], sum_cols=["cnt"],
     )
@@ -799,7 +799,7 @@ def contamination_scores(
     Docs with fewer than ``shingle_k`` tokens carry no shingles and are
     absent from the output (they cannot be contaminated)."""
     from ..pipelines.joins import semi_anti_join
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def shingle_rows(t: pa.Table) -> pa.Table:
         return shingle_hash_rows(t, shingle_k)
@@ -825,22 +825,13 @@ def contamination_scores(
     tagged = doc_sh.map_batches(tag(0), batch_format="pyarrow").union(
         matched.map_batches(tag(1), batch_format="pyarrow")
     )
-    agg = hash_bucket_sum(tagged, ["doc_id"], ["is_match"])
+    agg = grouped_agg(tagged, ["doc_id"], ["is_match"])
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if not all(c in df.columns for c in ("doc_id", "is_match", "n")):
-            # empty sort partition passed through with its input schema
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=np.int64)
-                 for c in ("doc_id", "matched", "total")}
-            )
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype(np.int64),
-             "matched": df["is_match"].astype(np.int64),
-             "total": (df["n"] - df["is_match"]).astype(np.int64)}
-        )
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "matched": t["is_match"],
+                         "total": t["n"].to_numpy() - t["is_match"].to_numpy()})
 
-    return agg.map_batches(finish, batch_format="pandas")
+    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 def cluster_pairs(pairs: pd.DataFrame) -> pd.DataFrame:

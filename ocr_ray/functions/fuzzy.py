@@ -115,7 +115,7 @@ def edit_distance_join(
     import ray
 
     from ..stages.partial_agg import (add_hash_bucket, compact_nonempty,
-                                      hash_bucket_min)
+                                      grouped_agg)
 
     # the build side is consumed twice (length scan + key explode):
     # materialize once so a lazy upstream plan is not re-executed (the
@@ -262,8 +262,8 @@ def edit_distance_join(
     )
     # a pair found via multiple surviving segments appears once per
     # distinct bucket that matched it — grouped min collapses exact dups
-    return hash_bucket_min(verified, keys=[left_id, right_id],
-                           min_cols=["dist"])
+    return grouped_agg(verified, [left_id, right_id], count_alias=None,
+                       min_cols=["dist"])
 
 
 # --- derived-variants query shaping (docs_fuzzy_join) -----------------------

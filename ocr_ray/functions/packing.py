@@ -166,7 +166,7 @@ def cdc_chunks(docs: rd.Dataset, modulus: int = CDC_MODULUS) -> rd.Dataset:
     per-token boundary bits, segment ids via cumsum, and one
     np.unique/reduceat sweep per block — no shuffle, no driver state;
     the token hash is the same md5-le64 the oracle replays
-    (`hash_token`)."""
+    (`hash_token`), computed once per distinct token of the block."""
     from .textstats import hash_token
 
     out_schema = pa.schema([
@@ -188,10 +188,9 @@ def cdc_chunks(docs: rd.Dataset, modulus: int = CDC_MODULUS) -> rd.Dataset:
             t.column("doc_id").to_numpy(zero_copy_only=False),
             lens.astype(np.int64),
         )
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        words = flat.to_pandas().to_numpy()[keep]
-        did = did_all[keep]
-        if words.size == 0:
+        keep = pc.not_equal(flat, "")
+        did = did_all[keep.to_numpy(zero_copy_only=False)]
+        if did.size == 0:
             return out_schema.empty_table()
         # per-doc 1-based token ordinals
         new_doc = np.r_[True, did[1:] != did[:-1]]
@@ -199,10 +198,14 @@ def cdc_chunks(docs: rd.Dataset, modulus: int = CDC_MODULUS) -> rd.Dataset:
         ord_ = np.arange(did.size, dtype=np.int64) - np.repeat(
             first, np.diff(np.append(first, did.size))) + 1
         # boundary AFTER token i iff hash % modulus == 0; a new chunk
-        # starts at doc start or right after a boundary
+        # starts at doc start or right after a boundary. Each distinct
+        # token is hashed once (md5 is a Python call per token): Arrow's
+        # hash-based dictionary encoding, hashes taken back by its codes.
+        words = flat.filter(keep).dictionary_encode()
+        vocab = words.dictionary.to_numpy(zero_copy_only=False)
         h = np.fromiter(
-            (hash_token(w) for w in words), dtype=np.int64, count=words.size
-        )
+            (hash_token(w) for w in vocab), dtype=np.int64, count=vocab.size
+        )[words.indices.to_numpy(zero_copy_only=False)]
         bnd = (h % modulus) == 0
         new_chunk = new_doc | np.r_[False, bnd[:-1]]
         starts = np.flatnonzero(new_chunk)

@@ -39,11 +39,11 @@ def _num_view(col: pa.ChunkedArray) -> pa.ChunkedArray:
     return col
 
 
-def profile_parquet(path: str, n_buckets: int = 16) -> pd.DataFrame:
+def profile_parquet(path: str) -> pd.DataFrame:
     """Profile every column of a parquet table; one row per column:
     (col, n, n_null, n_distinct, min_num, max_num), sorted by col."""
     from ..pqread import read_parquet as _read_parquet
-    from ..stages.partial_agg import from_pandas, hash_bucket_sum
+    from ..stages.partial_agg import from_pandas, grouped_agg
 
     import pyarrow.parquet as pq
 
@@ -93,7 +93,7 @@ def profile_parquet(path: str, n_buckets: int = 16) -> pd.DataFrame:
         col_ds = _read_parquet(path, columns=[c]).map_batches(
             block_unique, batch_format="pyarrow"
         )
-        return hash_bucket_sum(col_ds, [c], [], n_buckets=n_buckets).count()
+        return grouped_agg(col_ds, [c]).count()
 
     scalars["n_distinct"] = [
         distinct_count(c)

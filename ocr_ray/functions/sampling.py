@@ -104,15 +104,25 @@ def stratified_topn(ds: rd.Dataset, group: str, key: str, n: int) -> rd.Dataset:
     """
     from ..stages.partial_agg import grouped_topn
 
-    def with_hash(df):
-        return df.assign(__h=key_hash64(df[key]))
+    def with_hash(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__h", pa.array(key_hash64(t.column(key).to_pylist())))
 
     return grouped_topn(
-        ds, group, ["__h", key], [True, True], n,
-        payload_cols=[key, group],
-        out_dtypes={key: "int64", group: "object"},
+        ds, group, [("__h", "ascending"), (key, "ascending")], n,
+        pa.schema([(key, pa.int64()), (group, pa.string())]),
         prep=with_hash,
     )
+
+
+def _group_counts(ds: rd.Dataset, group: str) -> dict:
+    """Row count of each (string) ``group`` value of ``ds``; empty when
+    ``ds`` holds no rows."""
+    from ..stages.partial_agg import collect_table, grouped_agg
+
+    t = collect_table(grouped_agg(ds.select_columns([group]), [group]),
+                      pa.schema([(group, pa.string()), ("n", pa.int64())]))
+    return dict(zip(t[group].to_pylist(), t["n"].to_pylist()))
 
 
 def rebalance_by_group(
@@ -132,14 +142,9 @@ def rebalance_by_group(
     arithmetic so the SQL twin replays the rates exactly."""
     import ray
 
-    from ..stages.partial_agg import hash_bucket_sum
-
-    counts = hash_bucket_sum(ds.select_columns([group]), [group], []).to_pandas()
-    mc = int(counts["n"].min())
-    thresh = {
-        g: (mc * scale) // int(c) for g, c in zip(counts[group], counts["n"])
-    }
-    ref = ray.put(thresh)
+    counts = _group_counts(ds, group)
+    mc = min(counts.values(), default=0)
+    ref = ray.put({g: (mc * scale) // c for g, c in counts.items()})
 
     def flt(t: pa.Table) -> pa.Table:
         th = ray.get(ref)
@@ -238,12 +243,10 @@ def temperature_mix(
 
     import ray
 
-    from ..stages.partial_agg import hash_bucket_sum
-
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    counts = hash_bucket_sum(ds.select_columns([group]), [group], []).to_pandas()
-    nmin = int(counts["n"].min())
+    counts = _group_counts(ds, group)
+    nmin = min(counts.values(), default=0)
     e = 1.0 - alpha
 
     def limit(n: int) -> int:
@@ -253,8 +256,7 @@ def temperature_mix(
             return int(math.floor(scale * math.sqrt(nmin / n)))
         return int(math.floor(scale * (nmin / n) ** e))
 
-    thresh = {g: limit(int(c)) for g, c in zip(counts[group], counts["n"])}
-    ref = ray.put(thresh)
+    ref = ray.put({g: limit(c) for g, c in counts.items()})
 
     def flt(t: pa.Table) -> pa.Table:
         th = ray.get(ref)

@@ -573,14 +573,14 @@ def _pca_moments(ds: rd.Dataset) -> "pd.DataFrame":
     below its ``LOCAL_ROW_LIMITS`` entry, per-block partials + ONE
     bucketed grouped sum above it (never a driver structure beyond
     O(d^2) rows either way)."""
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     full = local_table(ds, "pca", pa.schema([_EMB.field("embedding")]))
     if full is not None:
         return _cov_moment_rows(full).to_pandas()
-    summed = hash_bucket_sum(
+    summed = grouped_agg(
         ds.map_batches(_cov_moment_rows, batch_format="pyarrow"),
-        keys=["dim_i", "dim_j"], sum_cols=["v"], n_buckets=16,
+        keys=["dim_i", "dim_j"], sum_cols=["v"],
     )
     return to_pandas_typed(
         summed, {"dim_i": "int64", "dim_j": "int64", "v": "float64"}

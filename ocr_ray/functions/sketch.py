@@ -185,7 +185,7 @@ def heavy_hitters(ds: rd.Dataset, k: int, items_of) -> pd.DataFrame:
     block's item ndarray (e.g. word bigrams of a text column)."""
     import ray
 
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def cand_block(t: pa.Table) -> pa.Table:
         items = items_of(t)
@@ -220,7 +220,7 @@ def heavy_hitters(ds: rd.Dataset, k: int, items_of) -> pd.DataFrame:
              "n": pa.array(out_n, pa.int64())}
         )
 
-    agg = hash_bucket_sum(
+    agg = grouped_agg(
         ds.map_batches(recount_block, batch_format="pyarrow"),
         ["term"], ["n"], count_alias="n_partials",
     ).to_pandas()  # bounded: candidates + 1 row
@@ -408,7 +408,7 @@ def cms_sketch(
     counts. Per block: vectorized hash + ONE groupby into at most d*w
     partial rows; the merge is a coarse hash-bucketed grouped sum over
     the (j, col) key space (<= d*w rows total ride the final exchange)."""
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def partial(t: pa.Table) -> pa.Table:
         v = t.column(value).to_numpy(zero_copy_only=False)
@@ -421,12 +421,10 @@ def cms_sketch(
         g["n"] = g.pop("size").astype(np.int64)
         return _from_pandas(g)
 
-    # count_alias must NOT collide with the summed partial column "n"
-    # (hash_bucket_sum writes the block count under count_alias)
-    rows = hash_bucket_sum(
+    rows = grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["j", "col"], ["n"], count_alias="nb", n_buckets=16,
-    ).drop_columns(["nb"])
+        ["j", "col"], ["n"], count_alias=None,
+    )
     m = np.zeros((d, w), dtype=np.int64)
     got = _to_pandas_typed(  # <= d*w rows by construction
         rows, {"j": "int64", "col": "int64", "n": "int64"}
@@ -451,15 +449,11 @@ def cms_point_counts(
     rows. Driver state is the sketch, never the stream."""
     import ray
 
-    from ..stages.partial_agg import hash_bucket_sum, pin_schema
+    from ..stages.partial_agg import grouped_agg
 
     m_ref = ray.put(cms_sketch(ds, value, d, w))
 
-    keys = hash_bucket_sum(
-        ds.select_columns([value]), [value], [], n_buckets=16
-    ).map_batches(
-        pin_schema({value: "int64", "n": "int64"}), batch_format="pandas"
-    )
+    keys = grouped_agg(ds.select_columns([value]), [value])
 
     def est(t: pa.Table) -> pa.Table:
         v = t.column(value).to_numpy(zero_copy_only=False)

@@ -248,13 +248,11 @@ def bigram_topk(docs, k: int = 20):
     sum over the bigram key (cardinality ~ corpus size, so the bucket
     pattern, not a raw groupby) -> per-bucket top-k cut (each bigram lives
     in exactly one bucket after the sum, so block-local top-k is globally
-    sound) -> bounded driver merge of n_buckets * k rows.
+    sound) -> bounded driver merge of N_BUCKETS * k rows.
     """
     import collections
 
-    import pandas as pd
-
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def partial(t: pa.Table) -> pa.Table:
         c: collections.Counter = collections.Counter()
@@ -266,22 +264,16 @@ def bigram_topk(docs, k: int = 20):
              "n": pa.array(list(c.values()), pa.int64())}
         )
 
-    summed = hash_bucket_sum(
+    summed = grouped_agg(
         docs.map_batches(partial, batch_format="pyarrow"),
-        ["bigram"], ["n"], count_alias="n_partials",
+        ["bigram"], ["n"], count_alias=None,
     )
 
-    def block_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if "bigram" not in df.columns:
-            return pd.DataFrame(
-                {"bigram": pd.Series([], dtype="object"),
-                 "n": pd.Series([], dtype="int64")}
-            )
-        return df.sort_values(
-            ["n", "bigram"], ascending=[False, True], kind="mergesort"
-        ).head(k)[["bigram", "n"]]
+    def block_topk(t: pa.Table) -> pa.Table:
+        return t.sort_by([("n", "descending"), ("bigram", "ascending")]
+                         ).slice(0, k).select(["bigram", "n"])
 
-    merged = summed.map_batches(block_topk, batch_format="pandas").to_pandas()
+    merged = summed.map_batches(block_topk, batch_format="pyarrow").to_pandas()
     return merged.sort_values(
         ["n", "bigram"], ascending=[False, True], kind="mergesort"
     ).head(k).reset_index(drop=True)
@@ -305,7 +297,7 @@ def rare_terms(docs, n: int = 3):
     import pandas as pd
 
     from ..pipelines.joins import bucket_hash_join
-    from ..stages.partial_agg import grouped_topn, hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg, grouped_topn
 
     def pairs_of(t: pa.Table) -> pa.Table:
         # vectorized tokenize + explode (same shape as the inverted-index
@@ -334,13 +326,13 @@ def rare_terms(docs, n: int = 3):
     # materialized: bucket_hash_join probes dfs.schema(), which would
     # execute the grouped-sum shuffle once for the probe and again for
     # the real run (see the join's CALLER NOTE)
-    dfs = hash_bucket_sum(pairs.select_columns(["tok"]), ["tok"], [],
-                          count_alias="df").materialize()
+    dfs = grouped_agg(pairs.select_columns(["tok"]), ["tok"],
+                      count_alias="df").materialize()
     joined = bucket_hash_join(pairs, dfs, on="tok")
     return grouped_topn(
-        joined, "doc_id", ["df", "tok"], [True, True], n,
-        payload_cols=["doc_id", "tok", "df"],
-        out_dtypes={"doc_id": "int64", "tok": "object", "df": "int64"},
+        joined, "doc_id", [("df", "ascending"), ("tok", "ascending")], n,
+        pa.schema([("doc_id", pa.int64()), ("tok", pa.string()),
+                   ("df", pa.int64())]),
     )
 
 
@@ -427,7 +419,7 @@ def bigram_nll(docs):
     onto the bigram stream as data. (1) one vectorized tokenize+explode
     pass emits (doc_id, w1, big) bigram rows; (2) corpus bigram counts
     and context counts are two hash-bucketed grouped sums over that
-    stream (map-side pre-combine inside hash_bucket_sum, so only
+    stream (map-side pre-combine inside grouped_agg, so only
     distinct keys per block ride the shuffle); (3) the two count tables
     join EACH OTHER first (counts-by-counts, distinct-bigram
     cardinality) and fold into a per-bigram term, so the heavy
@@ -442,7 +434,7 @@ def bigram_nll(docs):
     import pandas as pd
 
     from ..pipelines.joins import bucket_hash_join
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def bigrams_of(t: pa.Table) -> pa.Table:
         # same vectorized tokenize+explode as rare_terms.pairs_of; emit
@@ -528,9 +520,9 @@ def bigram_nll(docs):
 
     # V: corpus distinct-token count (scalar; the distinct set itself
     # stays distributed — only its cardinality reaches the driver)
-    vocab_n = hash_bucket_sum(
+    vocab_n = grouped_agg(
         docs.map_batches(uni_of, batch_format="pyarrow"),
-        ["tok"], [], count_alias="n",
+        ["tok"], count_alias="n",
     ).count()
 
     # the HEAVY stream (one row per bigram occurrence) is shuffled ONCE:
@@ -538,12 +530,12 @@ def bigram_nll(docs):
     # each other first (counts-by-counts — w1 is functionally dependent
     # on big, so grouping by both keys changes nothing), fold into a
     # per-bigram term, and only then meet the stream
-    bc = hash_bucket_sum(
-        bg.select_columns(["big", "w1"]), ["big", "w1"], [],
+    bc = grouped_agg(
+        bg.select_columns(["big", "w1"]), ["big", "w1"],
         count_alias="nb",
     ).materialize()
-    cc = hash_bucket_sum(
-        bg.select_columns(["w1"]), ["w1"], [], count_alias="nc"
+    cc = grouped_agg(
+        bg.select_columns(["w1"]), ["w1"], count_alias="nc"
     ).materialize()
 
     def term_of(t: pa.Table) -> pa.Table:
@@ -563,30 +555,18 @@ def bigram_nll(docs):
         bg.select_columns(["doc_id", "big"]), terms, on="big",
     )
 
-    def count_one(t: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {"doc_id": t.column("doc_id"),
-             "nll": t.column("nll"),
-             "one": pa.array(np.ones(t.num_rows, dtype=np.int64))}
-        )
-
-    per_doc = hash_bucket_sum(
-        scored.map_batches(count_one, batch_format="pyarrow"),
-        ["doc_id"], ["nll", "one"], count_alias="n_parts",
+    per_doc = grouped_agg(
+        scored.select_columns(["doc_id", "nll"]), ["doc_id"], ["nll"],
+        count_alias="n_bigrams",
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in df.columns or not len(df):
-            return _NLL_OUT.empty_table().to_pandas()
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "n_bigrams": df["one"].astype("int64"),
-             "nll_bits": np.round(
-                 df["nll"].to_numpy() / df["one"].to_numpy(),
-                 _NLL_DECIMALS)}
-        )
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "n_bigrams": t["n_bigrams"],
+                         "nll_bits": np.round(
+                             t["nll"].to_numpy() / t["n_bigrams"].to_numpy(),
+                             _NLL_DECIMALS)})
 
-    return pin_empty(per_doc.map_batches(finish, batch_format="pandas"), _NLL_OUT)
+    return pin_empty(per_doc.map_batches(finish, batch_format="pyarrow"), _NLL_OUT)
 
 
 _ENTROPY_DECIMALS = 4
@@ -803,7 +783,7 @@ def dsir_logratio(docs, target_lang: str = "en"):
     """
     import ray.data as rd
 
-    from ..stages.partial_agg import hash_bucket_sum, to_pandas_typed
+    from ..stages.partial_agg import grouped_agg, to_pandas_typed
 
     B = _DSIR_BUCKETS
 
@@ -835,9 +815,9 @@ def dsir_logratio(docs, target_lang: str = "en"):
         model = counts_of(local_tab).to_pandas()
     else:
         model = to_pandas_typed(
-            hash_bucket_sum(
+            grouped_agg(
                 docs.map_batches(counts_of, batch_format="pyarrow"),
-                ["b"], ["n_raw", "n_tgt"], count_alias="n_parts",
+                ["b"], ["n_raw", "n_tgt"], count_alias=None,
             ),
             {"b": "int64", "n_raw": "int64", "n_tgt": "int64"},
         )
@@ -927,7 +907,7 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
     identical Counter/rank kernels run driver-local."""
     import pandas as pd
 
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     empty = pd.DataFrame({
         "w1": pd.Series([], dtype="object"),
@@ -965,10 +945,10 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
 
     from ..pipelines.joins import bucket_hash_join
 
-    cxy = hash_bucket_sum(
+    cxy = grouped_agg(
         docs.map_batches(_pmi_partial, batch_format="pyarrow"),
-        ["w1", "w2"], ["n"], count_alias="n_partials",
-    ).select_columns(["w1", "w2", "n"]).materialize()
+        ["w1", "w2"], ["n"], count_alias=None,
+    ).materialize()
 
     nn = float(cxy.sum("n") or 0)
     if nn == 0:
@@ -979,13 +959,13 @@ def pmi_collocations(docs, min_count: int = _PMI_MIN_COUNT,
             return t.rename_columns([cols.get(c, c) for c in t.column_names])
         return fn
 
-    nx = hash_bucket_sum(
-        cxy.select_columns(["w1", "n"]), ["w1"], ["n"], count_alias="np1"
-    ).select_columns(["w1", "n"]).map_batches(
+    nx = grouped_agg(
+        cxy.select_columns(["w1", "n"]), ["w1"], ["n"], count_alias=None
+    ).map_batches(
         rename({"n": "nx"}), batch_format="pyarrow").materialize()
-    ny = hash_bucket_sum(
-        cxy.select_columns(["w2", "n"]), ["w2"], ["n"], count_alias="np2"
-    ).select_columns(["w2", "n"]).map_batches(
+    ny = grouped_agg(
+        cxy.select_columns(["w2", "n"]), ["w2"], ["n"], count_alias=None
+    ).map_batches(
         rename({"n": "ny"}), batch_format="pyarrow").materialize()
 
     filt = cxy.map_batches(
@@ -1214,7 +1194,7 @@ def tfidf_topk(docs, n: int = 3):
     import pandas as pd
 
     from ..pipelines.joins import bucket_hash_join
-    from ..stages.partial_agg import grouped_topn, hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg, grouped_topn
 
     def tf_of(t: pa.Table) -> pa.Table:
         text = pc.fill_null(contiguous_array(t.column("text")), "")
@@ -1276,24 +1256,20 @@ def tfidf_topk(docs, n: int = 3):
     n_docs = float(docs.count())
     # materialized: df count + join both read the tf rows
     tf = docs.map_batches(tf_of, batch_format="pyarrow").materialize()
-    dfs = hash_bucket_sum(tf.select_columns(["tok"]), ["tok"], [],
-                          count_alias="df").materialize()
+    dfs = grouped_agg(tf.select_columns(["tok"]), ["tok"],
+                      count_alias="df").materialize()
     joined = bucket_hash_join(tf, dfs, on="tok")
 
-    def score_of(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["score"] = np.round(
-            df["tf"].to_numpy(np.float64)
-            * np.log(n_docs / df["df"].to_numpy(np.float64)),
+    def score_of(t: pa.Table) -> pa.Table:
+        return t.append_column("score", pa.array(np.round(
+            t["tf"].to_numpy().astype(np.float64)
+            * np.log(n_docs / t["df"].to_numpy().astype(np.float64)),
             _TFIDF_DECIMALS,
-        )
-        return df
+        )))
 
     return pin_empty(grouped_topn(
-        joined, "doc_id", ["score", "tok"], [False, True], n,
-        payload_cols=["doc_id", "tok", "tf", "df", "score"],
-        out_dtypes={"doc_id": "int64", "tok": "object", "tf": "int64",
-                    "df": "int64", "score": "float64"},
+        joined, "doc_id", [("score", "descending"), ("tok", "ascending")], n,
+        _TFIDF_OUT.remove(_TFIDF_OUT.get_field_index("rank")),
         prep=score_of,
     ), _TFIDF_OUT)
 
@@ -1325,7 +1301,7 @@ def source_kl(docs_with_source) -> "pd.DataFrame":
     import pandas as pd
 
     from ..pipelines.joins import bucket_hash_join
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     def partial(t: pa.Table) -> pa.Table:
         c: collections.Counter = collections.Counter()
@@ -1342,14 +1318,14 @@ def source_kl(docs_with_source) -> "pd.DataFrame":
                          "tok": pa.array(list(tok), pa.string()),
                          "c": pa.array(list(c.values()), pa.int64())})
 
-    st = hash_bucket_sum(
+    st = grouped_agg(
         docs_with_source.map_batches(partial, batch_format="pyarrow"),
-        ["source", "tok"], ["c"], count_alias="n_p",
-    ).select_columns(["source", "tok", "c"]).materialize()
+        ["source", "tok"], ["c"], count_alias=None,
+    ).materialize()
 
-    ct = hash_bucket_sum(
-        st.select_columns(["tok", "c"]), ["tok"], ["c"], count_alias="n_s2"
-    ).select_columns(["tok", "c"]).map_batches(
+    ct = grouped_agg(
+        st.select_columns(["tok", "c"]), ["tok"], ["c"], count_alias=None
+    ).map_batches(
         lambda t: t.rename_columns(["tok", "ct"]), batch_format="pyarrow"
     ).materialize()
 

@@ -52,9 +52,10 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
+from ..stages.carry_scan import runs
 from ..stages.partial_agg import (
-    add_hash_bucket,
-    hash_bucket_sum,
+    bucket_pass,
+    grouped_agg,
     local_table,
     pin_schema,
     to_pandas_typed,
@@ -112,9 +113,7 @@ def _trade_pairs(sf_dir: str) -> rd.Dataset:
     pairs = j.map_batches(
         lambda df: df[["cust", "supp"]], batch_format="pandas"
     )
-    return hash_bucket_sum(pairs, ["cust", "supp"], []).map_batches(
-        pin_schema({"cust": "int64", "supp": "int64"}), batch_format="pandas"
-    )
+    return grouped_agg(pairs, ["cust", "supp"], count_alias=None)
 
 
 def trade_edges(sf_dir: str) -> rd.Dataset:
@@ -158,15 +157,8 @@ def pagerank_edges(edge_ds: rd.Dataset, iters: int = PR_ITERS) -> pd.DataFrame:
     from .joins import bucket_hash_join
 
     edges = edge_ds.materialize()
-    # pin_schema, not a bare column-select: an empty sort partition passes
-    # through the grouped sum with its INPUT schema (src, bucket) — no "d"
-    deg = (
-        hash_bucket_sum(edges.select_columns(["src"]), ["src"], [],
-                        count_alias="d")
-        .map_batches(pin_schema({"src": "int64", "d": "int64"}),
-                     batch_format="pandas")
-        .materialize()
-    )
+    deg = grouped_agg(edges.select_columns(["src"]), ["src"],
+                      count_alias="d").materialize()
     n_nodes = deg.count()
     r0 = PR_SCALE // n_nodes
     base = (_DAMP_DEN - _DAMP_NUM) * r0 // _DAMP_DEN
@@ -189,34 +181,25 @@ def pagerank_edges(edge_ds: rd.Dataset, iters: int = PR_ITERS) -> pd.DataFrame:
     # state: one row per node — (src, d, pr)
     state = deg.map_batches(init, batch_format="pyarrow").materialize()
 
-    def partial_contrib(df: pd.DataFrame) -> pd.DataFrame:
-        # per-block pre-combine: caps a celebrity node's shuffled
-        # contribution rows at one per block (int64 sums — exact); dd is
-        # functionally dependent on dst, so keying the groupby on
-        # (dst, dd) carries the destination degree through the shuffle
-        # for free
-        out = pd.DataFrame(
-            {"dst": df["dst"].to_numpy(np.int64),
-             "dd": df["dd"].to_numpy(np.int64),
-             "c": df["pr"].to_numpy(np.int64) // df["d"].to_numpy(np.int64)}
-        )
-        return out.groupby(["dst", "dd"], as_index=False, sort=False)["c"].sum()
+    def contrib_of(t: pa.Table) -> pa.Table:
+        # dd is functionally dependent on dst, so keying the grouped sum
+        # on (dst, dd) carries the destination degree through the shuffle
+        # for free; its per-block partial caps a celebrity node's
+        # shuffled contribution rows at one per block (int64 sums — exact)
+        return pa.table({"dst": t["dst"], "dd": t["dd"],
+                         "c": t["pr"].to_numpy() // t["d"].to_numpy()})
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"src": df["dst"].to_numpy(np.int64),
-             "d": df["dd"].to_numpy(np.int64),
-             "pr": base
-                   + _DAMP_NUM * df["c"].to_numpy(np.int64) // _DAMP_DEN}
-        )
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"src": t["dst"], "d": t["dd"],
+                         "pr": base + _DAMP_NUM * t["c"].to_numpy() // _DAMP_DEN})
 
     for _ in range(iters):
         contrib = bucket_hash_join(edges2, state, on="src").map_batches(
-            partial_contrib, batch_format="pandas"
+            contrib_of, batch_format="pyarrow"
         )
         state = (
-            hash_bucket_sum(contrib, ["dst", "dd"], ["c"])
-            .map_batches(finish, batch_format="pandas")
+            grouped_agg(contrib, ["dst", "dd"], ["c"], count_alias=None)
+            .map_batches(finish, batch_format="pyarrow")
             .materialize()
         )
 
@@ -260,10 +243,9 @@ def copart_edges(sf_dir: str) -> rd.Dataset:
     part = _read_parquet(
         os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"]
     )
-    return hash_bucket_sum(
-        part.map_batches(pairs, batch_format="pyarrow"), ["lo", "hi"], []
-    ).map_batches(
-        pin_schema({"lo": "int64", "hi": "int64"}), batch_format="pandas"
+    return grouped_agg(
+        part.map_batches(pairs, batch_format="pyarrow"), ["lo", "hi"],
+        count_alias=None,
     )
 
 
@@ -351,9 +333,8 @@ def orient_edges_by_degree(edges: rd.Dataset) -> rd.Dataset:
     # cache shared lazy lineage); compact_nonempty also drops the
     # exchange's schema-less filler blocks
     deg = compact_nonempty(
-        hash_bucket_sum(
-            edges.map_batches(explode, batch_format="pyarrow"), ["v"], []
-        )
+        grouped_agg(
+            edges.map_batches(explode, batch_format="pyarrow"), ["v"])
     )
     n_vertices = deg.count()
     if n_vertices <= _BROADCAST_KEY_LIMIT:
@@ -614,10 +595,8 @@ def bfs_hops(
         nb = semi_anti_join(
             edges_sym, frontier_ds, on="src", assume_distinct=True
         )
-        nxt = hash_bucket_sum(
-            nb.select_columns(["dst"]), ["dst"], [], count_alias="n_in"
-        ).map_batches(
-            pin_schema({"dst": "int64"}), batch_format="pandas"
+        nxt = grouped_agg(
+            nb.select_columns(["dst"]), ["dst"], count_alias=None
         ).map_batches(
             lambda t: t.rename_columns(["node"]), batch_format="pyarrow"
         )
@@ -680,12 +659,12 @@ def label_propagation(
 
     Scale shape: per round, labels ride back onto the symmetric edge
     table via ONE partitioned bucket hash join (labels are 1 row/node —
-    the pagerank state layout), neighbor-label counts fold by one
-    bucketed grouped sum, and the per-node argmax is a vectorized
-    (count desc, label asc) first-per-run pick inside the same bucket
-    pass. Constant rounds, so the plan is ``rounds`` sequential
-    exchanges; no task ever holds a node's full neighborhood beyond its
-    grouped (dst, label) count rows."""
+    the pagerank state layout), each joined block shrinks to partial
+    (dst, label) counts, and ONE dst-bucket pass sums them and picks
+    each node's (count desc, label asc) argmax (``user_mode_type``'s
+    shape). Constant rounds, so the plan is ``rounds`` sequential
+    join + bucket exchanges; no task ever holds a node's full
+    neighborhood beyond its grouped (dst, label) count rows."""
     from .joins import bucket_hash_join
 
     edges = edges.materialize()
@@ -710,47 +689,38 @@ def label_propagation(
         )
 
     edges_sym = edges.map_batches(sym, batch_format="pyarrow").materialize()
-    labels = hash_bucket_sum(
-        edges_sym.select_columns(["src"]), ["src"], [], count_alias="deg"
-    ).map_batches(
-        pin_schema({"src": "int64"}), batch_format="pandas"
+    labels = grouped_agg(
+        edges_sym.select_columns(["src"]), ["src"], count_alias=None
     ).map_batches(
         lambda t: pa.table({"src": t.column("src"),
                             "lab": t.column("src")}),
         batch_format="pyarrow",
     ).materialize()  # (src=node, lab), 1 row/node
 
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        # per-bucket argmax: every (dst, lab) count row for a node lives
-        # in ONE bucket after the grouped sum
-        if not len(df) or "dst" not in df.columns:
-            return pd.DataFrame({"src": pd.Series([], dtype="int64"),
-                                 "lab": pd.Series([], dtype="int64")})
-        df = df.sort_values(["dst", "n", "lab"],
-                            ascending=[True, False, True],
-                            kind="mergesort")
-        top = df[~df["dst"].duplicated()]
-        return pd.DataFrame({"src": top["dst"].to_numpy(np.int64),
-                             "lab": top["lab"].to_numpy(np.int64)})
+    def neighbor_counts(t: pa.Table) -> pa.Table:
+        # a block's partial (dst, lab) counts: the exchange carries count
+        # rows, not neighbor rows
+        g = t.group_by(["dst", "lab"]).aggregate([([], "count_all")])
+        return pa.table({"dst": g["dst"], "lab": g["lab"],
+                         "n": g["count_all"]})
+
+    def pick(t: pa.Table) -> dict:
+        # sum the partials over each (dst, lab) run, then take each
+        # node's (n desc, lab asc) first in one stable lexsort
+        dst = t["dst"].to_numpy()
+        dl, _ = runs(dst, t["lab"].to_numpy())
+        n = np.add.reduceat(t["n"].to_numpy(), dl)
+        starts, lens = runs(dst[dl])
+        best = np.lexsort((-n, np.repeat(np.arange(len(starts)), lens)))
+        best = dl[best[starts]]
+        return {"src": dst[best], "lab": t["lab"].take(best)}
 
     for _ in range(rounds):
         nbl = bucket_hash_join(edges_sym, labels, on="src").map_batches(
-            lambda t: pa.table({"dst": t.column("dst"),
-                                "lab": t.column("lab")}),
-            batch_format="pyarrow",
-        )
-        counts = hash_bucket_sum(nbl, ["dst", "lab"], [], count_alias="n")
-        # re-bucket by dst ONLY before the argmax: the grouped sum's
-        # buckets hash (dst, lab) jointly, so one node's label rows span
-        # buckets there
-        labels = counts.map_batches(
-            lambda t: add_hash_bucket(t, ["dst"], 64),
-            batch_format="pyarrow",
-        ).groupby("bucket").map_groups(
-            pick, batch_format="pandas"
-        ).map_batches(
-            pin_schema({"src": "int64", "lab": "int64"}),
-            batch_format="pandas",
+            neighbor_counts, batch_format="pyarrow")
+        labels = bucket_pass(
+            nbl, ["dst"], [("dst", "ascending"), ("lab", "ascending")],
+            pick, pa.schema([("src", pa.int64()), ("lab", pa.int64())]),
         ).materialize()
 
     out = to_pandas_typed(labels, {"src": "int64", "lab": "int64"}).rename(

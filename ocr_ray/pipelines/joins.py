@@ -29,7 +29,7 @@ import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
 
-from ..stages.partial_agg import compact_nonempty
+from ..stages.partial_agg import compact_nonempty, grouped_agg
 from ..stages.partial_agg import from_pandas as _from_pandas
 
 __all__ = [
@@ -397,11 +397,8 @@ def distinct_set_op(
     never the raw rows), then membership is the adaptive semi/anti join —
     broadcast below the key gate, partitioned cogroup above it. Emits a
     single-column Dataset of the surviving keys."""
-    from ..stages.partial_agg import hash_bucket_sum
 
-    a_distinct = hash_bucket_sum(
-        a.select_columns([on]), [on], []
-    ).select_columns([on])
+    a_distinct = grouped_agg(a.select_columns([on]), [on], count_alias=None)
     return semi_anti_join(a_distinct, b.select_columns([on]), on=on, anti=anti)
 
 
@@ -454,8 +451,6 @@ def nation_revenue(sf_dir: str) -> pd.DataFrame:
     decode the 25-row nation-name map in the final grouped sum."""
     import pyarrow.parquet as pq_
 
-    from ..stages.partial_agg import hash_bucket_sum
-
     li = _read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -469,9 +464,10 @@ def nation_revenue(sf_dir: str) -> pd.DataFrame:
             [t["l_orderkey"].combine_chunks(), rev], names=["l_orderkey", "rev_c4"]
         )
 
-    li_agg = hash_bucket_sum(
-        li.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["rev_c4"]
-    ).drop_columns(["n"])
+    li_agg = grouped_agg(
+        li.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["rev_c4"],
+        count_alias=None,
+    )
 
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_custkey"]
@@ -531,7 +527,6 @@ def order_lineitem_revenue(sf_dir: str) -> pd.DataFrame:
     Scale shape: pre-aggregate lineitem per orderkey FIRST (hash-bucketed
     combine — never join raw lineitem rows), then bucket-hash-join against
     orders, then a tiny grouped sum."""
-    from ..stages.partial_agg import hash_bucket_sum
 
     li = _read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -548,9 +543,10 @@ def order_lineitem_revenue(sf_dir: str) -> pd.DataFrame:
 
     # materialized: the join's schema probe would re-execute the grouped
     # sum's shuffle (CALLER NOTE on bucket_hash_join)
-    li_agg = compact_nonempty(hash_bucket_sum(
-        li.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["rev_c4"]
-    ).drop_columns(["n"]))
+    li_agg = compact_nonempty(grouped_agg(
+        li.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["rev_c4"],
+        count_alias=None,
+    ))
 
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_orderstatus"]
@@ -702,11 +698,10 @@ def orders_above_cust_avg(sf_dir: str) -> pd.DataFrame:
     (price_c * n > sum_c) so no float division enters the predicate —
     the SQL twin states the identical integer inequality.
 
-    Scale shape: per-cust (sum, n) via hash_bucket_sum partials (the
+    Scale shape: per-cust (sum, n) via grouped_agg partials (the
     aggregate side is |customers|, not |orders|); the join back is the
     partitioned bucket_hash_join — customer cardinality scales with the
     corpus, so no broadcast."""
-    from ..stages.partial_agg import hash_bucket_sum
 
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -721,16 +716,11 @@ def orders_above_cust_avg(sf_dir: str) -> pd.DataFrame:
         )
 
     wide = orders.map_batches(widen, batch_format="pyarrow")
-    per_cust = hash_bucket_sum(
+    per_cust = grouped_agg(
         wide.select_columns(["o_custkey", "price_c"]), ["o_custkey"], ["price_c"]
     ).map_batches(
-        lambda df: (
-            df.rename(columns={"price_c": "sum_c"})[["o_custkey", "sum_c", "n"]]
-            if all(c in df.columns for c in ("o_custkey", "price_c", "n"))
-            else pd.DataFrame({c: pd.Series([], dtype="int64")
-                               for c in ("o_custkey", "sum_c", "n")})
-        ),
-        batch_format="pandas",
+        lambda t: t.rename_columns(["o_custkey", "sum_c", "n"]),
+        batch_format="pyarrow",
     )
     per_cust = compact_nonempty(per_cust)  # + schema-probe materialize
 
@@ -756,10 +746,9 @@ def cust_order_counts(sf_dir: str) -> pd.DataFrame:
     without orders kept at 0 (TPC-H leaves ~1/3 of customers orderless).
 
     Scale shape: orders pre-aggregated to per-customer counts first
-    (hash_bucket_sum partials — the join never sees raw order rows), then
+    (grouped_agg partials — the join never sees raw order rows), then
     a partitioned bucket_hash_join with how='left'; both sides scale with
     the corpus so neither broadcasts."""
-    from ..stages.partial_agg import hash_bucket_sum
 
     cust = _read_parquet(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
@@ -770,7 +759,7 @@ def cust_order_counts(sf_dir: str) -> pd.DataFrame:
         lambda t: t.rename_columns(["c_custkey"]), batch_format="pyarrow"
     )
     # materialized: the join's schema probe would re-run the shuffle
-    per_cust = compact_nonempty(hash_bucket_sum(orders, ["c_custkey"], []))
+    per_cust = compact_nonempty(grouped_agg(orders, ["c_custkey"]))
 
     joined = bucket_hash_join(cust, per_cust, on="c_custkey", how="left")
 
@@ -807,8 +796,6 @@ def q3_shipping_priority(sf_dir: str, k: int = 10) -> pd.DataFrame:
     import pyarrow.dataset as pads
 
     import ray
-
-    from ..stages.partial_agg import hash_bucket_sum
 
     cutoff = pd.Timestamp(Q3_CUTOFF)
 
@@ -888,10 +875,10 @@ def q3_shipping_priority(sf_dir: str, k: int = 10) -> pd.DataFrame:
             col = t.column("l_orderkey").to_numpy(zero_copy_only=False)
             return widen(t.filter(pa.array(np.isin(col, ks))))
 
-        li_agg = hash_bucket_sum(
+        li_agg = grouped_agg(
             li.map_batches(filt_widen, batch_format="pyarrow"),
-            ["l_orderkey"], ["rev_c4"],
-        ).drop_columns(["n"])
+            ["l_orderkey"], ["rev_c4"], count_alias=None,
+        )
 
         def attach_topk(df: pd.DataFrame) -> pd.DataFrame:
             if "l_orderkey" not in df.columns:
@@ -904,10 +891,10 @@ def q3_shipping_priority(sf_dir: str, k: int = 10) -> pd.DataFrame:
             li, orders_f.select_columns(["l_orderkey"]), on="l_orderkey",
             assume_distinct=True,
         )
-        li_agg = compact_nonempty(hash_bucket_sum(
+        li_agg = compact_nonempty(grouped_agg(
             li_f.map_batches(widen, batch_format="pyarrow"),
-            ["l_orderkey"], ["rev_c4"],
-        ).drop_columns(["n"]))  # schema-probe re-execution
+            ["l_orderkey"], ["rev_c4"], count_alias=None,
+        ))  # schema-probe re-execution
         joined = bucket_hash_join(li_agg, orders_f, on="l_orderkey")
         part = joined.map_batches(topk, batch_format="pandas").to_pandas()
 
@@ -1101,8 +1088,6 @@ def q18_big_orders(sf_dir: str, k: int = 100) -> pd.DataFrame:
     ever reach the driver; the customer name attaches to those k rows."""
     import pyarrow.parquet as pq
 
-    from ..stages.partial_agg import partial_sum_count
-
     li = _read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity"],
@@ -1115,7 +1100,7 @@ def q18_big_orders(sf_dir: str, k: int = 100) -> pd.DataFrame:
             names=["l_orderkey", "qty"],
         )
 
-    qty = partial_sum_count(
+    qty = grouped_agg(
         li.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["qty"]
     ).filter(expr=f"qty > {Q18_MIN_QTY}").materialize()
     # materialized once: both the semi-join build side and the report
@@ -1433,7 +1418,6 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     from ..money import cents_np as _cents_np
-    from ..stages.partial_agg import partial_sum_count
 
     li = _read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -1454,7 +1438,7 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
 
     # per-supplier revenue STAYS a distributed Dataset (supplier scales
     # with the corpus); materialize once so max + tie filter reuse blocks
-    rev_ds = partial_sum_count(
+    rev_ds = grouped_agg(
         li.map_batches(widen, batch_format="pandas"), ["l_suppkey"], ["rev_c4"]
     ).materialize()
     from ray.data.aggregate import Max
@@ -1693,17 +1677,10 @@ def q13_order_count_distribution(sf_dir: str) -> pd.DataFrame:
     max orders per customer."""
     from ray.data.aggregate import Sum
 
-    from ..stages.partial_agg import partial_sum_count
-
     orders = _read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"]
-    ).map_batches(
-        lambda t: t.append_column(
-            "one", pa.array(np.ones(t.num_rows, dtype=np.int64))
-        ),
-        batch_format="pyarrow",
     )
-    per_cust = partial_sum_count(orders, ["o_custkey"], ["one"])
+    per_cust = grouped_agg(orders, ["o_custkey"])
 
     def hist_partial(t: pa.Table) -> pa.Table:
         g = (
@@ -1754,7 +1731,6 @@ def q17_small_quantity_revenue(sf_dir: str) -> pd.DataFrame:
     threshold predicate is the cross-multiplied integer comparison
     qty * 5 * n_part < sum_qty (no float average anywhere); the second
     lineitem scan emits per-block revenue partials."""
-    from ..stages.partial_agg import partial_sum_count
 
     def li_scan():
         return _read_parquet(
@@ -1766,21 +1742,12 @@ def q17_small_quantity_revenue(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_arrays(
             [t["l_partkey"].combine_chunks(),
              pc.cast(t["l_quantity"], pa.int64())],
-            names=["l_partkey", "qty"],
+            names=["l_partkey", "sum_qty"],
         )
 
-    per_part = partial_sum_count(
+    per_part = grouped_agg(  # part-dimension-sized; stays a Dataset
         li_scan().map_batches(widen, batch_format="pyarrow"),
-        ["l_partkey"], ["qty"],
-    ).map_batches(  # part-dimension-sized; stays a Dataset
-        lambda df: (
-            df.rename(columns={"qty": "sum_qty", "n": "n_part"})
-            [["l_partkey", "sum_qty", "n_part"]].astype(np.int64)
-            if all(c in df.columns for c in ("l_partkey", "qty", "n"))
-            else pd.DataFrame({c: pd.Series([], dtype="int64")
-                               for c in ("l_partkey", "sum_qty", "n_part")})
-        ),
-        batch_format="pandas",
+        ["l_partkey"], ["sum_qty"], count_alias="n_part",
     )
 
     def fact_prep(t: pa.Table) -> pa.Table:

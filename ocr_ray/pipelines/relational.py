@@ -38,7 +38,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..stages.carry_scan import group_ordinal_scan, run_starts, sorted_carry_scan
 from ..stages.partial_agg import from_pandas as _from_pandas
-from ..stages.partial_agg import hash_bucket_sum
+from ..stages.partial_agg import grouped_agg
 
 __all__ = [
     "q1_pricing_summary",
@@ -81,7 +81,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Datas
 
 
 from ..money import cents as _cents
-from ..stages.partial_agg import pin_schema  # half-away-from-zero, see ocr_ray.money
 from ..money import cents_np as _cents_np
 
 
@@ -107,9 +106,7 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
             names=["l_returnflag", "l_linestatus", "qty_c", "price_c", "disc_price_c4"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         ["qty_c", "price_c", "disc_price_c4"],
@@ -249,11 +246,9 @@ def events_user_daily(sf_dir: str) -> pd.DataFrame:
             names=["user_id", "day", "value_c"],
         )
 
-    from ..stages.partial_agg import hash_bucket_sum
-
     # (user, day) cardinality is a large fraction of the row count ->
     # hash-bucketed combine instead of per-block partials
-    agg = hash_bucket_sum(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["user_id", "day"], ["value_c"]
     ).to_pandas()
     agg["sum_value"] = agg["value_c"] / 100.0
@@ -305,10 +300,9 @@ def order_revenue_topk(sf_dir: str, k: int = 20) -> pd.DataFrame:
 
     Scale shape: l_orderkey cardinality ~ row count (per-block partials
     would not shrink the shuffle), so the grouped sum is hash-bucketed
-    (ocr_ray.stages.partial_agg.hash_bucket_sum) and the top-k is a
+    (ocr_ray.stages.partial_agg.grouped_agg) and the top-k is a
     per-block partial top-k followed by a driver-side merge of n_blocks*k
     candidate rows — no global sort."""
-    from ..stages.partial_agg import hash_bucket_sum
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -320,7 +314,7 @@ def order_revenue_topk(sf_dir: str, k: int = 20) -> pd.DataFrame:
             [t["l_orderkey"].combine_chunks(), rev], names=["l_orderkey", "rev_c4"]
         )
 
-    agg = hash_bucket_sum(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["l_orderkey"], ["rev_c4"]
     )
 
@@ -352,9 +346,7 @@ def events_value_stats(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "c", "c2"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["event_type"], ["c", "c2"]
     ).to_pandas()
     n = agg["n"].astype(np.int64)
@@ -438,9 +430,8 @@ def events_value_quantiles(sf_dir: str) -> pd.DataFrame:
     type -> ONE distributed (type, value) range sort -> per-block rank
     probe (:func:`_rank_pick_by_key`). No task ever holds a whole type's
     rows — the r4-weak whole-group map_groups kernel is gone."""
-    counts = hash_bucket_sum(
-        _read(sf_dir, "events", ["event_type"]), ["event_type"], []
-    ).to_pandas()
+    counts = grouped_agg(
+        _read(sf_dir, "events", ["event_type"]), ["event_type"]).to_pandas()
     n_by_type = dict(zip(counts["event_type"].astype(str), counts["n"].astype(int)))
     ranks = {
         t: {max(0, int(np.ceil(q * n)) - 1) for _, q in _QUANTS}
@@ -465,13 +456,12 @@ def docs_lang_sources(sf_dir: str) -> pd.DataFrame:
     sources joined with ','.
 
     Scale shape: grouped-distinct FIRST — the shuffle carries one
-    (lang, source) row per distinct pair with its count (hash_bucket_sum:
+    (lang, source) row per distinct pair with its count (grouped_agg:
     every block pre-combines), then the driver folds |langs| x |sources|
     rows into the string agg. No task and no driver pull ever sees one
     lang's raw doc rows (the r4-weak whole-group map_groups is gone)."""
-    pairs = hash_bucket_sum(
-        _read(sf_dir, "documents", ["lang", "source"]), ["lang", "source"], []
-    ).to_pandas()
+    pairs = grouped_agg(
+        _read(sf_dir, "documents", ["lang", "source"]), ["lang", "source"]).to_pandas()
     g = pairs.groupby("lang", sort=True)
     out = pd.DataFrame(
         {
@@ -508,9 +498,7 @@ def events_props_sum(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "k"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["event_type"], ["k"]
     ).to_pandas()
     return (
@@ -649,9 +637,7 @@ def docs_jsonl_source(sf_dir: str) -> pd.DataFrame:
             names=["lang", "doc_id", "len"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["lang"], ["doc_id", "len"],
     ).to_pandas()
@@ -741,9 +727,7 @@ def events_csv_source(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "event_id", "value_c"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["event_type"], ["event_id", "value_c"],
     ).to_pandas()
@@ -764,9 +748,8 @@ def events_value_quantiles_cont(sf_dir: str) -> pd.DataFrame:
     position -> ONE distributed (type, value) range sort -> per-block
     rank probe (:func:`_rank_pick_by_key`), then the driver blends the
     <= 6 fetched values per type. No whole-type map_groups task."""
-    counts = hash_bucket_sum(
-        _read(sf_dir, "events", ["event_type"]), ["event_type"], []
-    ).to_pandas()
+    counts = grouped_agg(
+        _read(sf_dir, "events", ["event_type"]), ["event_type"]).to_pandas()
     n_by_type = dict(zip(counts["event_type"].astype(str), counts["n"].astype(int)))
 
     def _lo_hi(q: float, n: int) -> tuple[int, int, float]:
@@ -809,11 +792,10 @@ def docs_source_lang_pivot(sf_dir: str) -> pd.DataFrame:
     """Pivot (long -> wide): per source, one doc-count column per lang
     plus the row total. The wide step is driver-side over the (source,
     lang) AGGREGATE — |sources| x |langs| rows, never the corpus; the
-    corpus-scale work is the hash_bucket_sum grouped count."""
-    from ..stages.partial_agg import hash_bucket_sum
+    corpus-scale work is the grouped_agg grouped count."""
 
     ds = _read(sf_dir, "documents", ["source", "lang"])
-    counts = hash_bucket_sum(ds, ["source", "lang"], []).to_pandas()
+    counts = grouped_agg(ds, ["source", "lang"]).to_pandas()
     unknown = set(counts["lang"]) - set(PIVOT_LANGS)
     if unknown:
         raise ValueError(f"unexpected langs for pivot: {sorted(unknown)}")
@@ -833,34 +815,19 @@ def events_user_type_count(sf_dir: str) -> pd.DataFrame:
     the number of distinct event types plus total events.
 
     Scale shape: the shuffle carries deduped (user, type) partial counts
-    (hash_bucket_sum over the pair — every block contributes at most one
-    row per pair), then one bucketed pass per user folds pair rows into
-    (n_types = rows, n_events = sum of counts). Never a raw-row
+    (grouped_agg over the pair — every block contributes at most one
+    row per pair), then a second grouped_agg per user folds pair rows
+    into (n_types = rows, n_events = sum of counts). Never a raw-row
     groupby(user)."""
-    from ..stages.partial_agg import add_hash_bucket, hash_bucket_sum
+    from ..stages.partial_agg import collect_table
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    pairs = hash_bucket_sum(ds, ["user_id", "event_type"], [])
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("user_id", as_index=False).agg(
-            n_types=("event_type", "size"), n_events=("n", "sum")
-        )
-        return g
-
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"user_id": "int64", "n_types": "int64", "n_events": "int64"}
-        if not all(c in df.columns for c in cols):
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        return df[list(cols)].astype(cols)
-
+    pairs = grouped_agg(ds, ["user_id", "event_type"], count_alias="n_events")
+    schema = pa.schema([("user_id", pa.int64()), ("n_types", pa.int64()),
+                        ("n_events", pa.int64())])
     return (
-        pairs.map_batches(
-            lambda t: add_hash_bucket(t, ["user_id"], 64), batch_format="pyarrow"
-        )
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
+        collect_table(grouped_agg(pairs, ["user_id"], ["n_events"],
+                                  count_alias="n_types"), schema)
         .to_pandas()
         .sort_values("user_id")
         .reset_index(drop=True)
@@ -889,9 +856,7 @@ def events_pruned_scan(sf_dir: str) -> pd.DataFrame:
             names=["day", "value_c"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["day"], ["value_c"]
     ).to_pandas()
     out = pd.DataFrame(
@@ -919,9 +884,7 @@ def lineitem_rollup(sf_dir: str) -> pd.DataFrame:
             names=["l_returnflag", "l_linestatus", "qty_c"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    fine = partial_sum_count(
+    fine = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"], ["qty_c"],
     ).to_pandas()
@@ -959,9 +922,7 @@ def lineitem_cube(sf_dir: str) -> pd.DataFrame:
             names=["l_returnflag", "l_linestatus", "qty_c"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    fine = partial_sum_count(
+    fine = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"], ["qty_c"],
     ).to_pandas()
@@ -1019,9 +980,7 @@ def events_corr_stats(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "x", "y", "xy", "x2", "y2"],
         )
 
-    from ..stages.partial_agg import partial_sum_count
-
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["event_type"], ["x", "y", "xy", "x2", "y2"],
     ).to_pandas()
@@ -1097,7 +1056,7 @@ def users_click_purchase_outer(sf_dir: str) -> pd.DataFrame:
     plan's three (two grouped counts + a cogroup exchange); measured 3.5x
     at sf0.1. Independently-sourced tables use the general
     ``bucket_hash_join(how='outer')`` (unit-tested on its own)."""
-    from ..stages.partial_agg import add_hash_bucket
+    from ..stages.partial_agg import collect_table
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
@@ -1112,27 +1071,14 @@ def users_click_purchase_outer(sf_dir: str) -> pd.DataFrame:
         wide.index.name = "user_id"
         return _from_pandas(wide.reset_index())
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        cols = ["user_id", "n_clicks", "n_purchases"]
-        if not all(c in df.columns for c in cols):
-            return pd.DataFrame({c: pd.Series([], dtype=np.int64) for c in cols})
-        out = df.groupby("user_id", as_index=False)[
-            ["n_clicks", "n_purchases"]
-        ].sum()
-        return out.astype({c: np.int64 for c in cols})
-
+    schema = pa.schema([("user_id", pa.int64()), ("n_clicks", pa.int64()),
+                        ("n_purchases", pa.int64())])
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda t: add_hash_bucket(t, ["user_id"], 64),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pandas")
-        .map_batches(
-            # schema-pin only: rows are already combined per bucket, so
-            # re-running the groupby here would re-aggregate every block
-            pin_schema({"user_id": "int64", "n_clicks": "int64",
-                        "n_purchases": "int64"}),
-            batch_format="pandas",
+        collect_table(
+            grouped_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["user_id"], ["n_clicks", "n_purchases"],
+                        count_alias=None),
+            schema,
         )
         .to_pandas()
         .sort_values("user_id")
@@ -1172,7 +1118,6 @@ def events_hive_source(sf_dir: str) -> pd.DataFrame:
     cheapest predicate pushdown there is). The SQL twin filters the
     original un-partitioned table, so a wrong or lossy partitioning
     flips the hash."""
-    from ..stages.partial_agg import hash_bucket_sum
 
     part_dir = os.path.join(_events_hive_dir(sf_dir), "event_type=purchase")
     ds = _read_parquet(part_dir, columns=["ts", "value"])
@@ -1183,7 +1128,7 @@ def events_hive_source(sf_dir: str) -> pd.DataFrame:
             names=["day", "value_c"],
         )
 
-    agg = hash_bucket_sum(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["day"], ["value_c"]
     ).to_pandas()
     agg["revenue"] = agg["value_c"] / 100.0
@@ -1198,7 +1143,6 @@ def events_union_sources(sf_dir: str) -> pd.DataFrame:
     deliver identical rows (a lossy CSV decode or a dropped block flips
     the hash). Both sides are projected to ONE schema (event_type,
     value_c) BEFORE the union so the merged stream is block-uniform."""
-    from ..stages.partial_agg import partial_sum_count
 
     def widen(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -1212,7 +1156,7 @@ def events_union_sources(sf_dir: str) -> pd.DataFrame:
     csv_side = rd.read_csv(_events_csv_dir(sf_dir)).map_batches(
         widen, batch_format="pyarrow"
     )
-    agg = partial_sum_count(
+    agg = grouped_agg(
         pq_side.union(csv_side), ["event_type"], ["value_c"]
     ).to_pandas()
     agg["sum_value"] = agg["value_c"] / 100.0
@@ -1230,7 +1174,6 @@ def events_dow_hour(sf_dir: str) -> pd.DataFrame:
     count_from_zero=True)`` == DuckDB's Sunday-0 ``dayofweek``); the key
     space is fixed at 7x24 = 168 cells, so per-block partials shrink each
     block to <=168 rows before the tiny grouped fold."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "events", ["ts", "value"])
 
@@ -1244,7 +1187,7 @@ def events_dow_hour(sf_dir: str) -> pd.DataFrame:
             [dow, hour, _cents(t["value"])], names=["dow", "hour", "value_c"]
         )
 
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["dow", "hour"], ["value_c"]
     ).to_pandas()
     agg["sum_value"] = agg["value_c"] / 100.0
@@ -1268,7 +1211,6 @@ def events_zscore_outliers(sf_dir: str) -> pd.DataFrame:
     predicate is evaluated on EXACT integer sufficient stats lifted to
     doubles in a fixed op order, (v*n - S)^2 > 9*(n*Q - S^2), so the SQL
     twin compares bit-identically with no float accumulation anywhere."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
@@ -1279,7 +1221,7 @@ def events_zscore_outliers(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "s_c", "q_c"],
         )
 
-    stats = partial_sum_count(
+    stats = grouped_agg(
         ds.map_batches(suff, batch_format="pyarrow"), ["event_type"], ["s_c", "q_c"]
     ).to_pandas()  # O(types) rows
     lut = {
@@ -1405,7 +1347,6 @@ def orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     Scale shape: the heavy reduction is per-month partials (O(months)
     rows per block); only the calendar-bounded month table reaches the
     driver, where the LAG is a shift over a sorted tiny frame."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
@@ -1416,7 +1357,7 @@ def orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
             names=["month", "price_c"],
         )
 
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["month"], ["price_c"]
     ).to_pandas().sort_values("month", kind="mergesort").reset_index(drop=True)
     out = pd.DataFrame(
@@ -1438,9 +1379,9 @@ def docs_longest_per_lang(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out = grouped_topn(
-        ds, "lang", ["n_chars", "doc_id"], [False, True], 1,
-        payload_cols=["lang", "doc_id", "n_chars"],
-        out_dtypes={"lang": "object", "doc_id": "int64", "n_chars": "int64"},
+        ds, "lang", [("n_chars", "descending"), ("doc_id", "ascending")], 1,
+        pa.schema([("lang", pa.string()), ("doc_id", pa.int64()),
+                   ("n_chars", pa.int64())]),
     ).to_pandas()
     return out.drop(columns=["rank"]).sort_values("lang").reset_index(drop=True)
 
@@ -1450,7 +1391,6 @@ def events_type_share(sf_dir: str) -> pd.DataFrame:
     the window-function SUM() OVER () shape computed as one tiny grouped
     reduction plus an exact double division of exact integer cents (no
     float accumulation, so the twin matches bit-for-bit)."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
@@ -1460,7 +1400,7 @@ def events_type_share(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "value_c"],
         )
 
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["event_type"], ["value_c"]
     ).to_pandas()
     total = float(agg["value_c"].sum())
@@ -1597,7 +1537,6 @@ def events_trend(sf_dir: str) -> pd.DataFrame:
     one tiny grouped sum, and the closed-form solution as doubles on the
     driver. The SQL twin states the same explicit formula — NOT DuckDB's
     regr_slope, whose internal accumulation order differs."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
@@ -1617,7 +1556,7 @@ def events_trend(sf_dir: str) -> pd.DataFrame:
             names=["event_type", "x", "y", "xy", "xx"],
         )
 
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
         ["event_type"], ["x", "y", "xy", "xx"],
     ).to_pandas()
@@ -1646,7 +1585,6 @@ def events_daily_dense(sf_dir: str) -> pd.DataFrame:
     partials (bounded by calendar x types, not events); the dense grid is
     generated driver-side at that same bounded size and left-merged.
     Nothing driver-side scales with event count."""
-    from ..stages.partial_agg import partial_sum_count
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -1657,7 +1595,7 @@ def events_daily_dense(sf_dir: str) -> pd.DataFrame:
             names=["day", "event_type", "value_c"],
         )
 
-    agg = partial_sum_count(
+    agg = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"), ["day", "event_type"],
         ["value_c"],
     ).to_pandas()  # bounded: days x types
@@ -1878,7 +1816,6 @@ def revenue_pareto(sf_dir: str) -> pd.DataFrame:
     80% crossing emits the answer row. The crossing threshold is the
     exact integer ceil(4*total/5), so block boundaries cannot mis-place
     it."""
-    from ..stages.partial_agg import partial_sum_count
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -1888,9 +1825,10 @@ def revenue_pareto(sf_dir: str) -> pd.DataFrame:
             names=["o_custkey", "r"],
         )
 
-    rev = partial_sum_count(
-        orders.map_batches(widen, batch_format="pyarrow"), ["o_custkey"], ["r"]
-    ).select_columns(["o_custkey", "r"]).materialize()
+    rev = grouped_agg(
+        orders.map_batches(widen, batch_format="pyarrow"), ["o_custkey"], ["r"],
+        count_alias=None,
+    ).materialize()
 
     n_cust = rev.count()
     _OUT = pa.schema([("n_top", pa.int64()), ("rev_cum", pa.int64()),
@@ -1941,8 +1879,6 @@ def orders_open_per_day(sf_dir: str) -> pd.DataFrame:
     running cumsum over days runs driver-side on O(days) rows. No
     interval is ever expanded to its covered days."""
     from ray.data.aggregate import Max, Sum
-
-    from ..stages.partial_agg import partial_sum_count
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
@@ -2047,15 +1983,15 @@ def events_assoc_rules(sf_dir: str) -> pd.DataFrame:
     each user's <=T^2 ordered pairs inside a user-hash bucket pass and
     folds by ONE tiny grouped sum (T^2 keys). No driver structure
     beyond O(T^2)."""
-    from ..stages.partial_agg import add_hash_bucket, hash_bucket_sum
+    from ..stages.partial_agg import add_hash_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    baskets = hash_bucket_sum(
-        ds, ["user_id", "event_type"], [], count_alias="n_ev"
-    ).select_columns(["user_id", "event_type"]).materialize()
+    baskets = grouped_agg(
+        ds, ["user_id", "event_type"], count_alias=None
+    ).materialize()
 
-    n_users = hash_bucket_sum(
-        baskets.select_columns(["user_id"]), ["user_id"], [],
+    n_users = grouped_agg(
+        baskets.select_columns(["user_id"]), ["user_id"],
         count_alias="n_t",
     ).count()
 

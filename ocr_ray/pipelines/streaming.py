@@ -3,11 +3,13 @@
 extensions, built the Ray-Data way — partition by key, order by ts within
 partition, window inside map_groups).
 
-That sentence is written once, in :func:`_user_buckets`: user_id hashed
-into 64 buckets, one exchange, and one Arrow kernel per bucket that sees
-the bucket stably sorted by its window order and returns columns cast to
-a declared schema. Each per-user query is thus one ``OVER (PARTITION BY
-user_id ORDER BY ...)`` operator with an exact SQL twin.
+That sentence is written once, as the engine's shared
+:func:`ocr_ray.stages.partial_agg.bucket_pass` keyed on user_id: users
+hashed into 64 buckets, one exchange, and one Arrow kernel per bucket
+that sees the bucket stably sorted by its window order and returns
+columns cast to a declared schema. Each per-user query is thus one
+``OVER (PARTITION BY user_id ORDER BY ...)`` operator with an exact SQL
+twin.
 
 Ordering assumption (stated per the guide): events are processed per
 ``user_id`` group sorted by ``ts``; output is independent of input block
@@ -36,7 +38,8 @@ import ray.data as rd
 
 from ..pqread import read_parquet as _read_parquet
 
-from ..stages.partial_agg import add_hash_bucket, collect_table
+from ..stages.carry_scan import runs
+from ..stages.partial_agg import bucket_pass, collect_table
 
 __all__ = [
     "tumbling_window",
@@ -67,10 +70,6 @@ __all__ = [
 
 SESSION_GAP_MIN = 30
 SESSION_GAP_US = SESSION_GAP_MIN * 60 * 1_000_000
-
-# user-hash buckets of every per-user pass: a coarse key, because a
-# per-USER map_groups pays ~1 ms per group, fatal at 10^9 users
-_N_BUCKETS = 64
 
 # the (ts, event_id) window order within each user
 _BY_TIME = [("user_id", "ascending"), ("ts", "ascending"),
@@ -107,37 +106,6 @@ def _events(sf_dir: str, columns: list[str]) -> rd.Dataset:
     return _read_parquet(os.path.join(sf_dir, "events.parquet"), columns=columns)
 
 
-def _user_buckets(ds: rd.Dataset, order: list[tuple[str, str]], fn,
-                  schema: pa.Schema) -> rd.Dataset:
-    """The streaming family's one bucket pass: hash ``user_id`` into
-    ``_N_BUCKETS`` buckets, exchange once, and call ``fn`` on each
-    bucket as one ``pa.Table`` stably sorted by ``order``
-    (``Table.sort_by`` keys), so each user's rows are contiguous when
-    ``order`` leads with user_id. ``fn`` returns a table or a dict of
-    columns; its output is selected and cast to ``schema``."""
-
-    def kernel(t: pa.Table) -> pa.Table:
-        return pa.table(fn(t.sort_by(order))).select(schema.names).cast(schema)
-
-    return (
-        ds.map_batches(lambda t: add_hash_bucket(t, ["user_id"], _N_BUCKETS),
-                       batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
-
-
-def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(start index, length) of each run of rows equal on all ``keys``."""
-    n = len(keys[0])
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    return starts, np.diff(np.append(starts, n))
-
-
 def _us(col) -> np.ndarray:
     """A timestamp column as int64 microseconds."""
     return col.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
@@ -162,15 +130,16 @@ def _window_sums(ds: rd.Dataset, window_type: pa.DataType) -> pd.DataFrame:
                          "n": g["count_all"], "value_c": g["value_c_sum"]})
 
     def fold(t: pa.Table) -> dict:
-        runs, _ = _runs(t["user_id"].to_numpy(), t["window_start"].to_numpy())
-        return {"user_id": t["user_id"].take(runs),
-                "window_start": t["window_start"].take(runs),
-                "n": np.add.reduceat(t["n"].to_numpy(), runs),
-                "value_c": np.add.reduceat(t["value_c"].to_numpy(), runs)}
+        starts, _ = runs(t["user_id"].to_numpy(), t["window_start"].to_numpy())
+        return {"user_id": t["user_id"].take(starts),
+                "window_start": t["window_start"].take(starts),
+                "n": np.add.reduceat(t["n"].to_numpy(), starts),
+                "value_c": np.add.reduceat(t["value_c"].to_numpy(), starts)}
 
     agg = collect_table(
-        _user_buckets(ds.map_batches(partial, batch_format="pyarrow"),
-                      [(k, "ascending") for k in keys], fold, schema),
+        bucket_pass(ds.map_batches(partial, batch_format="pyarrow"),
+                    ["user_id"], [(k, "ascending") for k in keys], fold,
+                    schema),
         schema,
     ).to_pandas()
     agg["sum_value"] = agg["value_c"] / 100.0
@@ -268,8 +237,9 @@ def session_windows(sf_dir: str) -> pd.DataFrame:
                 "duration_sec": (us[ends] - us[starts]) // 1_000_000}
 
     res = collect_table(
-        _user_buckets(_events(sf_dir, ["user_id", "ts"]),
-                      [("user_id", "ascending"), ("ts", "ascending")],
+        bucket_pass(_events(sf_dir, ["user_id", "ts"]),
+                    ["user_id"],
+                    [("user_id", "ascending"), ("ts", "ascending")],
                       sessionize, _SESSIONS),
         _SESSIONS,
     ).to_pandas()
@@ -364,15 +334,15 @@ def rolling_user_sum(sf_dir: str) -> pd.DataFrame:
 
     def roll(t: pa.Table) -> dict:
         v = _cents(t["value"]).to_numpy()
-        starts, seg_len = _runs(t["user_id"].to_numpy())
+        starts, seg_len = runs(t["user_id"].to_numpy())
         cs = np.cumsum(v)
         offset = np.repeat(cs[starts] - v[starts], seg_len)
         return {"event_id": t["event_id"], "user_id": t["user_id"],
                 "running_c": cs - offset}
 
     res = collect_table(
-        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
-                      _BY_TIME, roll, schema),
+        bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                    ["user_id"], _BY_TIME, roll, schema),
         schema,
     ).to_pandas()
     res["running_sum"] = res["running_c"] / 100.0
@@ -391,20 +361,18 @@ def top_events_per_user(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: the shared ``grouped_topn`` stage — a per-BATCH partial
     top-N combiner (only <= N rows per user per block ride the shuffle),
-    then a hash-bucketed final cut, vectorized via sort + cumcount (no
-    per-user map_groups)."""
+    then the bucket pass's final cut over each user-sorted bucket, ranked
+    by run offsets (no per-user map_groups)."""
     from ..stages.partial_agg import grouped_topn
 
-    ds = _events(sf_dir, ["event_id", "user_id", "value"])
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                        ("value", pa.float64())])
+    ds = _events(sf_dir, schema.names)
     res = collect_table(
-        grouped_topn(
-            ds, "user_id", ["value", "event_id"], [False, True], TOP_PER_USER_N,
-            payload_cols=["event_id", "user_id", "value"],
-            out_dtypes={"event_id": "int64", "user_id": "int64",
-                        "value": "float64"},
-        ),
-        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                   ("value", pa.float64()), ("rank", pa.int64())]),
+        grouped_topn(ds, "user_id",
+                     [("value", "descending"), ("event_id", "ascending")],
+                     TOP_PER_USER_N, schema),
+        schema.append(pa.field("rank", pa.int64())),
     ).to_pandas()
     return res.sort_values(["user_id", "rank"]).reset_index(drop=True)
 
@@ -446,9 +414,9 @@ def asof_last_login(sf_dir: str) -> pd.DataFrame:
                 "last_login_ts": signups["ts"].take(pa.array(last, mask=~found))}
 
     res = collect_table(
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
-            _BY_TIME, asof, schema),
+            ["user_id"], _BY_TIME, asof, schema),
         schema,
     ).to_pandas()
     return res.sort_values("event_id").reset_index(drop=True)
@@ -471,14 +439,14 @@ def lag_delta(sf_dir: str) -> pd.DataFrame:
         us = _us(t["ts"])
         delta = np.full(len(us), -1, dtype=np.int64)
         delta[1:] = us[1:] - us[:-1]
-        delta[_runs(t["user_id"].to_numpy())[0]] = -1
+        delta[runs(t["user_id"].to_numpy())[0]] = -1
         return {"event_id": t["event_id"], "user_id": t["user_id"],
                 "delta_us": delta}
 
     return (
         collect_table(
-            _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts"]),
-                          _BY_TIME, lag, schema),
+            bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts"]),
+                        ["user_id"], _BY_TIME, lag, schema),
             schema,
         )
         .to_pandas()
@@ -512,9 +480,9 @@ def transition_counts(sf_dir: str) -> pd.DataFrame:
                 "n": g["count_all"]}
 
     partials = collect_table(  # O(buckets * |types|^2) rows — bounded
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
-            _BY_TIME, transitions, schema),
+            ["user_id"], _BY_TIME, transitions, schema),
         schema,
     ).to_pandas()
     out = partials.groupby(["prev_type", "next_type"], as_index=False).agg(
@@ -553,15 +521,15 @@ def user_value_median(sf_dir: str) -> pd.DataFrame:
     def median(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
         vals = t["value"].to_numpy()
-        starts, seg_len = _runs(users)
+        starts, seg_len = runs(users)
         pick = starts + (seg_len + 1) // 2 - 1
         return {"user_id": users[starts], "n_events": seg_len,
                 "median_value": vals[pick]}
 
     return (
         collect_table(
-            _user_buckets(_events(sf_dir, ["user_id", "value"]), _BY_VALUE,
-                          median, schema),
+            bucket_pass(_events(sf_dir, ["user_id", "value"]), ["user_id"],
+                        _BY_VALUE, median, schema),
             schema,
         )
         .to_pandas()
@@ -585,9 +553,9 @@ def user_mode_type(sf_dir: str) -> pd.DataFrame:
 
     def mode(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
-        ut, _ = _runs(users, t["event_type"].to_numpy())
+        ut, _ = runs(users, t["event_type"].to_numpy())
         n = np.add.reduceat(t["n"].to_numpy(), ut)  # (user, type) counts
-        starts, seg_len = _runs(users[ut])
+        starts, seg_len = runs(users[ut])
         # stable: within a user, count descending, then type ascending
         best = np.lexsort((-n, np.repeat(np.arange(len(starts)), seg_len)))
         best = best[starts]
@@ -596,10 +564,11 @@ def user_mode_type(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(
+            bucket_pass(
                 _events(sf_dir, _TYPE_KEYS).map_batches(
                     _type_counts, batch_format="pyarrow"),
-                [(k, "ascending") for k in _TYPE_KEYS], mode, schema),
+                ["user_id"], [(k, "ascending") for k in _TYPE_KEYS], mode,
+                schema),
             schema,
         )
         .to_pandas()
@@ -623,7 +592,7 @@ def user_first_last(sf_dir: str) -> pd.DataFrame:
                         ("last_ts", pa.timestamp("us"))])
 
     def first_last(t: pa.Table) -> dict:
-        starts, seg_len = _runs(t["user_id"].to_numpy())
+        starts, seg_len = runs(t["user_id"].to_numpy())
         ends = starts + seg_len - 1
         return {"user_id": t["user_id"].take(starts),
                 "first_type": t["event_type"].take(starts),
@@ -633,9 +602,9 @@ def user_first_last(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(
+            bucket_pass(
                 _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
-                _BY_TIME, first_last, schema),
+                ["user_id"], _BY_TIME, first_last, schema),
             schema,
         )
         .to_pandas()
@@ -669,7 +638,7 @@ def rolling_range_sum(sf_dir: str) -> pd.DataFrame:
         users = t["user_id"].to_numpy()
         us = _us(t["ts"])
         v = _cents(t["value"]).to_numpy()
-        starts, seg_len = _runs(users)
+        starts, seg_len = runs(users)
         seg_id = np.repeat(np.arange(len(starts)), seg_len)
         left = seg_searchsorted(seg_id, us, us - gap_us, "left")
         right = seg_searchsorted(seg_id, us, us, "right")  # peers included
@@ -679,8 +648,8 @@ def rolling_range_sum(sf_dir: str) -> pd.DataFrame:
                 "window_sum_c": cs[base + right] - cs[base + left]}
 
     res = collect_table(
-        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
-                      _BY_TIME, roll, schema),
+        bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                    ["user_id"], _BY_TIME, roll, schema),
         schema,
     ).to_pandas()
     res["window_sum"] = res["window_sum_c"] / 100.0
@@ -707,7 +676,7 @@ def moving_avg(sf_dir: str) -> pd.DataFrame:
 
     def roll(t: pa.Table) -> dict:
         v = _cents(t["value"]).to_numpy()
-        starts, seg_len = _runs(t["user_id"].to_numpy())
+        starts, seg_len = runs(t["user_id"].to_numpy())
         i = np.arange(len(v), dtype=np.int64)
         left = np.maximum(i - (w - 1), np.repeat(starts, seg_len))
         cs = np.concatenate([[0], np.cumsum(v)])
@@ -715,8 +684,8 @@ def moving_avg(sf_dir: str) -> pd.DataFrame:
                 "win_c": cs[i + 1] - cs[left], "k": i - left + 1}
 
     res = collect_table(
-        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
-                      _BY_TIME, roll, schema),
+        bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                    ["user_id"], _BY_TIME, roll, schema),
         schema,
     ).to_pandas()
     res["moving_avg"] = res["win_c"] / res["k"] / 100.0
@@ -746,7 +715,7 @@ def band_pair_counts(sf_dir: str) -> pd.DataFrame:
     def band(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
         us = _us(t["ts"])
-        starts, seg_len = _runs(users)
+        starts, seg_len = runs(users)
         seg_id = np.repeat(np.arange(len(starts)), seg_len)
         # pairs per LEFT row: strictly-later rows up to ts + W (inclusive)
         upper = seg_searchsorted(seg_id, us, us + w_us, "right")
@@ -756,8 +725,8 @@ def band_pair_counts(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts"]),
-                          _BY_TIME, band, schema),
+            bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts"]),
+                        ["user_id"], _BY_TIME, band, schema),
             schema,
         )
         .to_pandas()
@@ -781,11 +750,11 @@ def user_type_entropy(sf_dir: str) -> pd.DataFrame:
 
     def entropy(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
-        ut, _ = _runs(users, t["event_type"].to_numpy())
+        ut, _ = runs(users, t["event_type"].to_numpy())
         n_t = np.add.reduceat(t["n"].to_numpy(), ut)  # (user, type) counts
         users = users[ut]
         c = n_t.astype(np.float64)
-        starts, _ = _runs(users)
+        starts, _ = runs(users)
         n = np.add.reduceat(n_t, starts).astype(np.float64)
         slnc = np.add.reduceat(c * np.log(c), starts)  # c >= 1 always
         ent = pa.array(np.log(n) - slnc / n)
@@ -795,10 +764,11 @@ def user_type_entropy(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(
+            bucket_pass(
                 _events(sf_dir, _TYPE_KEYS).map_batches(
                     _type_counts, batch_format="pyarrow"),
-                [(k, "ascending") for k in _TYPE_KEYS], entropy, schema),
+                ["user_id"], [(k, "ascending") for k in _TYPE_KEYS], entropy,
+                schema),
             schema,
         )
         .to_pandas()
@@ -821,7 +791,7 @@ def user_event_path(sf_dir: str) -> pd.DataFrame:
 
     def path(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
-        starts, seg_len = _runs(users)
+        starts, seg_len = runs(users)
         offsets = pa.array(np.append(starts, len(users)), pa.int32())
         steps = pa.ListArray.from_arrays(offsets,
                                          t["event_type"].combine_chunks())
@@ -830,9 +800,9 @@ def user_event_path(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(
+            bucket_pass(
                 _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
-                _BY_TIME, path, schema),
+                ["user_id"], _BY_TIME, path, schema),
             schema,
         )
         .to_pandas()
@@ -876,8 +846,8 @@ def funnel_counts(sf_dir: str) -> pd.DataFrame:
         us = _us(t["ts"])
         # sorted by (user, type, ts): each (user, type) run opens with
         # its minimum
-        firsts, _ = _runs(users, types)
-        starts, seg_len = _runs(users)
+        firsts, _ = runs(users, types)
+        starts, seg_len = runs(users)
         user_idx = np.repeat(np.arange(len(starts)), seg_len)
         first = {}  # step -> (has, ts) per user
         for step in FUNNEL_STEPS:
@@ -894,10 +864,11 @@ def funnel_counts(sf_dir: str) -> pd.DataFrame:
                 "n_funnel": [s2.sum()]}
 
     part = collect_table(  # O(buckets) partial rows
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["user_id", "ts", "event_type"]).map_batches(
                 partial, batch_format="pyarrow"),
-            [(k, "ascending") for k in keys + ["ts"]], fold, schema),
+            ["user_id"], [(k, "ascending") for k in keys + ["ts"]], fold,
+            schema),
         schema,
     ).to_pandas()
     # SQL SUM: NULL when there is no user at all, else an exact count
@@ -911,15 +882,16 @@ def new_users_daily(sf_dir: str) -> pd.DataFrame:
     (count-per-first-seen-day makes the cumulative sum exact without
     re-scanning history).
 
-    Scale shape: ONE shuffle (the per-user min-ts hash_bucket_min, whose
-    per-block partial minima shrink the exchange); day counting then
+    Scale shape: ONE shuffle (the per-user ``MIN(ts)`` of the shared
+    ``grouped_agg`` stage, whose per-block partial minima shrink the
+    exchange); day counting then
     reduces through O(days)-rows-per-block partials folded on the driver
     — day cardinality is calendar-bounded, so the fold is O(blocks *
     days), never user- or event-scaled."""
-    from ..stages.partial_agg import hash_bucket_min
+    from ..stages.partial_agg import grouped_agg
 
     ds = _events(sf_dir, ["user_id", "ts"])
-    first = hash_bucket_min(ds, ["user_id"], ["ts"])
+    first = grouped_agg(ds, ["user_id"], count_alias=None, min_cols=["ts"])
 
     def day_counts(t: pa.Table) -> pa.Table:
         day = pc.strftime(t["ts"], format="%Y-%m-%d")
@@ -957,7 +929,7 @@ def user_value_mad(sf_dir: str) -> pd.DataFrame:
     def mad(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
         vals = t["value"].to_numpy()
-        starts, seg_len = _runs(users)
+        starts, seg_len = runs(users)
         pick = starts + (seg_len + 1) // 2 - 1
         med = vals[pick]
         absdev = np.abs(vals - np.repeat(med, seg_len))
@@ -968,8 +940,8 @@ def user_value_mad(sf_dir: str) -> pd.DataFrame:
 
     return (
         collect_table(
-            _user_buckets(_events(sf_dir, ["user_id", "value"]), _BY_VALUE,
-                          mad, schema),
+            bucket_pass(_events(sf_dir, ["user_id", "value"]), ["user_id"],
+                        _BY_VALUE, mad, schema),
             schema,
         )
         .to_pandas()
@@ -1007,9 +979,9 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
     def fold(t: pa.Table) -> dict:
         users = t["user_id"].to_numpy()
         day = t["day"].cast(pa.int32()).to_numpy()
-        distinct, _ = _runs(users, day)
+        distinct, _ = runs(users, day)
         day = day[distinct]
-        starts, seg_len = _runs(users[distinct])
+        starts, seg_len = runs(users[distinct])
         cohort = np.repeat(day[starts], seg_len)
         keep = day - cohort <= RETENTION_MAX_OFFSET
         g = pa.table(
@@ -1020,10 +992,10 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
                 "day_offset": g["day_offset"], "n_users": g["count_all"]}
 
     part = collect_table(  # O(buckets * cohorts * offsets)
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["user_id", "ts"]).map_batches(
                 partial, batch_format="pyarrow"),
-            [(k, "ascending") for k in keys], fold, schema),
+            ["user_id"], [(k, "ascending") for k in keys], fold, schema),
         schema,
     ).to_pandas()
     out = (
@@ -1046,7 +1018,7 @@ def window_distinct_users(sf_dir: str) -> pd.DataFrame:
     dedup, then per-window counts reduce through O(windows)-rows-per-
     block partials folded on the driver — windows are calendar-bounded,
     users never are."""
-    from ..stages.partial_agg import hash_bucket_sum
+    from ..stages.partial_agg import grouped_agg
 
     ds = _events(sf_dir, ["user_id", "ts"])
 
@@ -1060,9 +1032,9 @@ def window_distinct_users(sf_dir: str) -> pd.DataFrame:
         return pa.table({"window_start": g["window_start"],
                          "n_users": g["count_all"]})
 
-    deduped = hash_bucket_sum(
+    deduped = grouped_agg(
         ds.map_batches(widen, batch_format="pyarrow"),
-        ["window_start", "user_id"], [],
+        ["window_start", "user_id"],
     )
     out = (
         collect_table(  # O(blocks * windows)
@@ -1094,7 +1066,7 @@ def first_touch_attribution(sf_dir: str) -> pd.DataFrame:
     def first_rows(t: pa.Table, n_purch: np.ndarray) -> pa.Table:
         """Each user's first row of the (user, ts, event_id)-sorted
         ``t``, with the user's total of ``n_purch``."""
-        starts, _ = _runs(t["user_id"].to_numpy())
+        starts, _ = runs(t["user_id"].to_numpy())
         return t.take(starts).append_column(
             "n_purch", pa.array(np.add.reduceat(n_purch, starts)))
 
@@ -1116,10 +1088,10 @@ def first_touch_attribution(sf_dir: str) -> pd.DataFrame:
                 "n_purchasers": g["bought_sum"]}
 
     part = collect_table(  # O(buckets * types)
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["user_id", "ts", "event_type", "event_id"])
             .map_batches(partial, batch_format="pyarrow"),
-            _BY_TIME, fold, schema),
+            ["user_id"], _BY_TIME, fold, schema),
         schema,
     ).to_pandas()
     return (
@@ -1150,7 +1122,7 @@ def type_islands(sf_dir: str) -> pd.DataFrame:
     def islands(t: pa.Table) -> dict:
         u = t["user_id"].to_numpy()
         ty = t["event_type"].to_numpy()
-        ustarts, ulens = _runs(u)
+        ustarts, ulens = runs(u)
         brk = np.ones(len(u), dtype=bool)
         brk[1:] = (u[1:] != u[:-1]) | (ty[1:] != ty[:-1])
         glob = np.cumsum(brk)  # global island id (1-based)
@@ -1163,9 +1135,9 @@ def type_islands(sf_dir: str) -> pd.DataFrame:
                 "ts_from": t["ts"].take(starts), "ts_to": t["ts"].take(ends)}
 
     res = collect_table(
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["user_id", "ts", "event_id", "event_type"]),
-            _BY_TIME, islands, schema),
+            ["user_id"], _BY_TIME, islands, schema),
         schema,
     ).to_pandas()
     return res.sort_values(["user_id", "island_seq"]).reset_index(drop=True)
@@ -1238,10 +1210,10 @@ def window_agg_join(sf_dir: str) -> pd.DataFrame:
                 "click_sum_c": cumv[hi] - cumv[lo]}
 
     res = collect_table(
-        _user_buckets(
+        bucket_pass(
             _clicks_and_purchases(_events(
                 sf_dir, ["event_id", "user_id", "ts", "event_type", "value"])),
-            _BY_TIME, probe, schema),
+            ["user_id"], _BY_TIME, probe, schema),
         schema,
     ).to_pandas()
     res["click_value_sum"] = res["click_sum_c"] / 100.0
@@ -1279,10 +1251,10 @@ def click_conversion(sf_dir: str) -> pd.DataFrame:
                 "n_converted": g["conv_sum"]}
 
     part = collect_table(  # O(buckets * 24) partial rows
-        _user_buckets(
+        bucket_pass(
             _clicks_and_purchases(
                 _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])),
-            _BY_TIME, probe, schema),
+            ["user_id"], _BY_TIME, probe, schema),
         schema,
     ).to_pandas()
     agg = (
@@ -1328,11 +1300,11 @@ def user_value_p90(sf_dir: str) -> pd.DataFrame:
     def pick(t: pa.Table) -> dict:
         u = t["user_id"].to_numpy()
         b = t["b"].to_numpy()
-        ub, _ = _runs(u, b)
+        ub, _ = runs(u, b)
         u, b = u[ub], b[ub]
         # combined (user, b) counts: cumsum strictly increasing (cnt >= 1)
         C = np.cumsum(np.add.reduceat(t["cnt"].to_numpy(), ub))
-        starts, seg_len = _runs(u)
+        starts, seg_len = runs(u)
         ends = starts + seg_len - 1
         base = np.where(starts > 0, C[starts - 1], 0)
         n_u = C[ends] - base
@@ -1342,10 +1314,10 @@ def user_value_p90(sf_dir: str) -> pd.DataFrame:
                 "p90": hdr_rep_c(b[idx]) / 100.0}
 
     res = collect_table(
-        _user_buckets(
+        bucket_pass(
             _events(sf_dir, ["user_id", "value"]).map_batches(
                 partial, batch_format="pyarrow"),
-            [(k, "ascending") for k in keys], pick, schema),
+            ["user_id"], [(k, "ascending") for k in keys], pick, schema),
         schema,
     ).to_pandas()
     return res.sort_values("user_id").reset_index(drop=True)
@@ -1397,8 +1369,8 @@ def ewma_values(sf_dir: str) -> pd.DataFrame:
                 "value": t["value"], "ewma": r4}
 
     res = collect_table(
-        _user_buckets(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
-                      _BY_TIME, kern, schema),
+        bucket_pass(_events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+                    ["user_id"], _BY_TIME, kern, schema),
         schema,
     ).to_pandas()
     return res.sort_values("event_id").reset_index(drop=True)

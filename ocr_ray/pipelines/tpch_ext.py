@@ -43,7 +43,7 @@ import ray.data as rd
 
 from ..money import cents_np as _cents_np
 from ..pqread import read_parquet as _read_parquet
-from ..stages.partial_agg import add_hash_bucket, from_pandas, hash_bucket_sum, pin_schema
+from ..stages.partial_agg import add_hash_bucket, from_pandas, grouped_agg, pin_schema
 
 __all__ = [
     "q2_min_cost_supplier",
@@ -440,9 +440,9 @@ def q11_important_stock(sf_dir: str) -> pd.DataFrame:
         lambda t: t.select(["ps_partkey", "val_c"]), batch_format="pyarrow"
     )
 
-    grouped = hash_bucket_sum(
-        pairs, ["ps_partkey"], ["val_c"], n_buckets=32,
-    ).drop_columns(["n"]).materialize()
+    grouped = grouped_agg(
+        pairs, ["ps_partkey"], ["val_c"], count_alias=None,
+    ).materialize()
     total = grouped.aggregate(Sum("val_c", alias_name="t"))["t"]
     if total is None:  # no region supplier / empty part table
         return pd.DataFrame(
@@ -805,10 +805,10 @@ def q20_potential_promotion(sf_dir: str) -> pd.DataFrame:
                  zero_copy_only=False).astype(np.int64)}
         )
 
-    agg = hash_bucket_sum(
+    agg = grouped_agg(
         li.map_batches(widen, batch_format="pyarrow"),
-        ["l_partkey", "l_suppkey"], ["qty"], n_buckets=32,
-    ).drop_columns(["n"])
+        ["l_partkey", "l_suppkey"], ["qty"], count_alias=None,
+    )
 
     def final_filter(df: pd.DataFrame) -> pd.DataFrame:
         pk = df["l_partkey"].to_numpy(np.int64)

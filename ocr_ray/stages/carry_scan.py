@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-__all__ = ["cluster_cpus", "run_starts", "sorted_carry_scan", "group_ordinal_scan"]
+__all__ = ["cluster_cpus", "runs", "run_starts", "sorted_carry_scan", "group_ordinal_scan"]
 
 
 def cluster_cpus() -> int:
@@ -37,11 +37,20 @@ def cluster_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
+def runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start index, length) of each run of rows equal on all ``keys``."""
+    n = len(keys[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, n))
+
+
 def run_starts(values: np.ndarray) -> np.ndarray:
     """Start index of every run of equal adjacent values."""
-    if len(values) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return runs(values)[0]
 
 
 def sorted_carry_scan(
@@ -119,13 +128,12 @@ def group_ordinal_scan(
     key, running count) of the last run seen."""
     group = keys[0]
 
-    def runs(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def group_runs(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = t.column(group).to_numpy(zero_copy_only=False)
-        starts = run_starts(g)
-        return g, starts, np.diff(np.append(starts, len(g)))
+        return (g, *runs(g))
 
     def stat(t: pa.Table) -> tuple:
-        g, _, lens = runs(t)
+        g, _, lens = group_runs(t)
         return g[0], int(lens[0]), g[-1], int(lens[-1]), len(lens)
 
     def fold(carry: tuple, s: tuple) -> tuple:
@@ -136,7 +144,7 @@ def group_ordinal_scan(
     def apply(t: pa.Table, carry, _final) -> pa.Table:
         if t.num_rows == 0:
             return apply_fn(t, np.zeros(0, dtype=np.int64))
-        g, starts, lens = runs(t)
+        g, starts, lens = group_runs(t)
         seq = np.arange(len(g), dtype=np.int64) - np.repeat(starts, lens)
         if g[0] == carry[0]:
             seq[: lens[0]] += carry[1]

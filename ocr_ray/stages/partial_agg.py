@@ -5,21 +5,29 @@ The scale rule (SURVEY.md "Aggregation at scale"): a bare
 block to one row per (key, agg) first shrinks the all-to-all exchange to
 the key cardinality per block. Sums/counts/min/max are algebraic, so the
 final combine over partials is exact.
+
+Every grouped stage here runs on Arrow through one exchange,
+:func:`bucket_pass`: :func:`grouped_agg` (SUM / MIN / COUNT GROUP BY)
+and :func:`grouped_topn` (ROW_NUMBER() <= n) are kernels over its
+hash buckets, as are the streaming family's per-user windows.
 """
 
 from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
-__all__ = ["partial_sum_count", "hash_bucket_sum", "add_hash_bucket",
-           "grouped_topn", "pin_schema", "from_pandas", "to_pandas_typed",
+from .carry_scan import runs
+
+__all__ = ["N_BUCKETS", "bucket_pass", "grouped_agg",
+           "add_hash_bucket", "grouped_topn", "pin_schema", "from_pandas",
+           "to_pandas_typed",
            "compact_nonempty", "contiguous_array", "split_ws",
            "LOCAL_ROW_LIMITS", "local_table", "collect_table", "pin_empty"]
 
@@ -118,8 +126,9 @@ def compact_nonempty(ds: "rd.Dataset") -> "rd.Dataset":
     materialized dataset from its non-empty block refs (zero-copy — refs
     are reused, only metadata is walked). Apply where a grouped/joined
     intermediate is materialized anyway; downstream plans then never
-    carry fillers. Blocks must be Arrow (true for every engine producer;
-    pandas-returning UDFs route through :func:`from_pandas`)."""
+    carry fillers. Blocks must be Arrow, as every engine producer's are; a
+    grouped producer belongs in :func:`bucket_pass`, whose kernels return
+    ``pa.Table``s cast to a declared schema."""
     mat = ds.materialize()
     refs = []
     n_empty = 0
@@ -220,9 +229,9 @@ def pin_schema(cols: dict):
     An empty sort partition passes through ``groupby().map_groups`` with
     its INPUT schema (Ray Data 2.49); a grouped pipeline with pandas
     kernels therefore normalizes blocks before the result feeds another
-    shuffle or to_pandas. (Arrow kernels cast their own output to a
-    declared schema and the driver reads it with :func:`collect_table`,
-    as the streaming family does.) ``cols`` maps column name -> pandas
+    shuffle or to_pandas. (:func:`bucket_pass` kernels cast their own
+    output to a declared schema and the driver reads it with
+    :func:`collect_table`.) ``cols`` maps column name -> pandas
     dtype string; EMPTY blocks missing any output column are replaced by
     a typed empty frame, non-empty blocks are dtype-pinned (an empty-side
     pandas concat inside the shuffle can promote int64 -> float64, which
@@ -259,15 +268,21 @@ def add_hash_bucket(t: pa.Table, keys: list[str], n_buckets: int) -> pa.Table:
     dict, which makes the schema unhashable and defeats Ray's
     block-schema dedup in the downstream sort's reduce tasks. Every
     bucketed shuffle funnels through here, so this is the one choke
-    point that keeps exchange blocks hashable."""
-    import numpy as np
+    point that keeps exchange blocks hashable.
 
+    A null in an integer or boolean key column is hashed as 0 / False:
+    ``to_numpy`` would turn that block's column into float64 or object,
+    whose hashes differ from the same values in a block without nulls."""
     if t.schema.metadata:
         t = t.replace_schema_metadata(None)
     h = np.zeros(t.num_rows, dtype=np.uint64)
     for k in keys:
+        col = t.column(k)
+        if col.null_count and (pa.types.is_integer(col.type)
+                               or pa.types.is_boolean(col.type)):
+            col = col.fill_null(pa.scalar(0).cast(col.type))
         v = pd.util.hash_array(
-            t.column(k).to_numpy(zero_copy_only=False), categorize=False
+            col.to_numpy(zero_copy_only=False), categorize=False
         )
         h = h * np.uint64(1099511628211) + v
     bucket = ((h * np.uint64(2654435761)) % np.uint64(n_buckets)).astype(np.int64)
@@ -279,164 +294,111 @@ def add_hash_bucket(t: pa.Table, keys: list[str], n_buckets: int) -> pa.Table:
     return t.append_column("bucket", pa.array(bucket))
 
 
+# buckets of every bucket pass: a coarse key, because a per-KEY
+# map_groups pays ~1 ms per group, fatal at 10^9 keys
+N_BUCKETS = 64
+
+
+def bucket_pass(ds: rd.Dataset, keys: list[str], order: list[tuple[str, str]],
+                fn, schema: pa.Schema | None = None) -> rd.Dataset:
+    """The engine's one grouped exchange: hash ``keys`` into ``N_BUCKETS``
+    buckets, exchange once, and call ``fn`` on each bucket as one
+    ``pa.Table`` stably sorted by ``order`` (``Table.sort_by`` keys; an
+    empty order leaves it unsorted), so each key's rows are contiguous
+    when ``order`` leads with the keys. ``fn`` returns a table or a dict
+    of columns; its output is selected and cast to ``schema`` when one is
+    given."""
+
+    def kernel(t: pa.Table) -> pa.Table:
+        out = pa.table(fn(t.sort_by(order) if order else t))
+        return out if schema is None else out.select(schema.names).cast(schema)
+
+    return (
+        ds.map_batches(lambda t: add_hash_bucket(t, keys, N_BUCKETS),
+                       batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(kernel, batch_format="pyarrow")
+    )
+
+
+def _group_by(t: pa.Table, keys: list[str], aggs: list[tuple]) -> pa.Table:
+    """``t`` grouped by ``keys`` as ``keys`` + one column per
+    ``(column, function, name)`` of ``aggs``. Single-threaded, so a float
+    sum adds its values in one fixed order."""
+    g = t.group_by(keys, use_threads=False).aggregate([a[:2] for a in aggs])
+    cols = {k: g[k] for k in keys}
+    for c, f, name in aggs:
+        cols[name] = g[f"{c}_{f}" if c else f]
+    return pa.table(cols)
+
+
+def grouped_agg(
+    ds: rd.Dataset,
+    keys: list[str],
+    sum_cols: list[str] = (),
+    count_alias: str | None = "n",
+    min_cols: list[str] = (),
+) -> rd.Dataset:
+    """``SELECT keys, SUM(sum_cols), MIN(min_cols), COUNT(*) AS
+    count_alias ... GROUP BY keys`` (no count column when ``count_alias``
+    is None): one row per key, in no particular order, with SQL's rules —
+    a null key is a group of its own, and a sum or min over only nulls is
+    null.
+
+    Each block first shrinks to one row per key it holds (sums, counts
+    and mins are algebraic, so the partials combine exactly); the bucket
+    pass then finishes each bucket with one more ``group_by``. Shuffling
+    on ``hash(keys) % N_BUCKETS`` sorts a 64-value int column instead of
+    the key columns, and a hot key costs one partial row per block."""
+    partial = ([(c, "sum", c) for c in sum_cols]
+               + [(c, "min", c) for c in min_cols])
+    final = list(partial)
+    if count_alias:
+        partial.append(([], "count_all", count_alias))
+        final.append((count_alias, "sum", count_alias))
+    return bucket_pass(
+        ds.map_batches(lambda t: _group_by(t, keys, partial),
+                       batch_format="pyarrow"),
+        keys, [], lambda t: _group_by(t, keys, final),
+    )
+
+
 def grouped_topn(
     ds: rd.Dataset,
     group: str,
-    order_cols: list[str],
-    ascending: list[bool],
+    order: list[tuple[str, str]],
     n: int,
-    payload_cols: list[str],
-    out_dtypes: dict[str, str],
+    schema: pa.Schema,
     prep=None,
-    n_buckets: int = 64,
 ) -> rd.Dataset:
-    """Grouped top-n with a per-BATCH partial combiner: each block first
-    cuts to its own top-n per group (at most n rows per group per block
-    ride the shuffle — the partial top-k idiom), then a hash-bucketed
-    final cut runs ONE vectorized sort + cumcount per bucket (never a
-    per-group map_groups). Emits ``payload_cols + [rank]`` with rank 1..n
-    in the given order (``prep``, if set, derives transient sort columns
-    inside each kernel call — e.g. a key hash)."""
-    import numpy as np
+    """Grouped top-n: ``ROW_NUMBER() OVER (PARTITION BY group ORDER BY
+    order) <= n`` as ``schema``'s columns plus ``rank`` (int64, 1..n).
+    ``order`` holds ``Table.sort_by`` keys, and ties keep input order;
+    ``prep``, if set, derives transient sort columns from each block's
+    ``pa.Table`` first (e.g. a key hash).
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if prep is not None:
-            df = prep(df)
-        df = df.sort_values(
-            [group] + order_cols, ascending=[True] + ascending, kind="mergesort"
-        )
-        r = df.groupby(group, sort=False).cumcount()
-        out = df[r < n].copy()
-        out["rank"] = (r[r < n] + 1).to_numpy(np.int64)
-        return out
+    Each block first cuts to its own top-n per group (at most n rows per
+    group per block ride the exchange — the partial top-k idiom); the
+    bucket pass then makes the same cut per bucket over one sorted table,
+    never a per-group map_groups."""
+    by = [(group, "ascending")] + list(order)
+    carry = list(dict.fromkeys(schema.names + [c for c, _ in by]))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return kernel(df)[payload_cols]
-
-    bucketed = ds.map_batches(partial, batch_format="pandas").map_batches(
-        lambda t: add_hash_bucket(t, [group], n_buckets), batch_format="pyarrow"
-    )
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return kernel(df)[payload_cols + ["rank"]]
-
-    cols = {**out_dtypes, "rank": "int64"}
-
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        if not all(c in df.columns for c in cols):
-            # empty sort partition passed through with its input schema
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        # dtype-pin the NON-empty path too: an empty-side pandas concat
-        # inside the bucket shuffle promotes int64 -> float64, and the
-        # driver's value hash is dtype-sensitive (round-3 doc_rare_terms red)
-        return df[list(cols)].astype(cols)
-
-    return (
-        bucketed.groupby("bucket")
-        .map_groups(final, batch_format="pandas")
-        .map_batches(norm, batch_format="pandas")
-    )
-
-
-def partial_sum_count(
-    ds: rd.Dataset,
-    keys: list[str],
-    sum_cols: list[str],
-    count_alias: str = "n",
-) -> rd.Dataset:
-    """groupby(keys).agg(sum(sum_cols), count(*)) with per-block partials.
-
-    Emits one row per key with the summed columns (same names) plus
-    ``count_alias``. Equivalent to a direct grouped aggregate but the
-    shuffle moves per-block partials instead of raw rows.
-    """
-
-    def combine_block(t: pa.Table) -> pa.Table:
-        df = t.select(keys + sum_cols).to_pandas()
-        g = df.groupby(keys, as_index=False, sort=False).agg(
-            {c: "sum" for c in sum_cols}
-        )
-        cnt = df.groupby(keys, as_index=False, sort=False).size()
-        g[count_alias] = cnt["size"].to_numpy()
-        return from_pandas(g)
-
-    partials = ds.map_batches(combine_block, batch_format="pyarrow")
-    aggs = [Sum(c, alias_name=c) for c in sum_cols]
-    aggs.append(Sum(count_alias, alias_name=count_alias))
-    return partials.groupby(keys).aggregate(*aggs)
-
-
-def hash_bucket_sum(
-    ds: rd.Dataset,
-    keys: list[str],
-    sum_cols: list[str],
-    count_alias: str = "n",
-    n_buckets: int = 64,
-) -> rd.Dataset:
-    """High-cardinality grouped sum+count: hash-partition on a small bucket
-    key, then ONE vectorized pandas groupby per bucket.
-
-    When key cardinality ~ row count, per-block partials don't shrink the
-    shuffle and Ray's sort-based aggregate pays an O(n log n) sort on the
-    full key column. Shuffling by ``hash(keys) % n_buckets`` instead sorts
-    a 64-value int column and the per-bucket combine is one vectorized
-    groupby — same exact result. Skewed keys spread across buckets by hash.
-    """
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return add_hash_bucket(t, keys, n_buckets)
-
-    def combine(df: pd.DataFrame) -> pa.Table:
-        # return Arrow (via the metadata-stripping from_pandas), not a
-        # pandas frame: Ray's own pandas->Arrow conversion at the next
-        # shuffle boundary attaches the b'pandas' dict metadata that
-        # breaks block-schema hashing (see from_pandas docstring)
-        cnt = df.groupby(keys, as_index=False, sort=False).size()
-        if not sum_cols:  # count-only grouped aggregate
-            return from_pandas(cnt.rename(columns={"size": count_alias}))
-        g = df.groupby(keys, as_index=False, sort=False).agg(
-            {c: "sum" for c in sum_cols}
-        )
-        g[count_alias] = cnt["size"].to_numpy()
-        return from_pandas(g)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
-
-
-def hash_bucket_min(
-    ds: rd.Dataset,
-    keys: list[str],
-    min_cols: list[str],
-    n_buckets: int = 64,
-) -> rd.Dataset:
-    """High-cardinality grouped MIN: per-block partial groupby-min first
-    (each block shrinks to one row per key it contains), then the same
-    coarse hash-bucket shuffle + one vectorized final groupby-min per
-    bucket as :func:`hash_bucket_sum`. Min is idempotent, so the
-    partial/final split is exact."""
+    def cut(t: pa.Table) -> pa.Table:
+        # rank within each run of the (sorted) group column; dictionary
+        # codes make a null group one run, where NaN != NaN would not
+        codes = (t[group].combine_chunks()
+                 .dictionary_encode(null_encoding="encode").indices)
+        starts, lens = runs(codes.to_numpy(zero_copy_only=False))
+        rank = np.arange(t.num_rows) - np.repeat(starts, lens) + 1
+        top = rank <= n
+        return t.filter(top).append_column("rank", pa.array(rank[top]))
 
     def partial(t: pa.Table) -> pa.Table:
-        df = t.select(keys + min_cols).to_pandas()
-        g = df.groupby(keys, as_index=False, sort=False).agg(
-            {c: "min" for c in min_cols}
-        )
-        return from_pandas(g)
+        if prep is not None:
+            t = prep(t)
+        return cut(t.sort_by(by)).select(carry)
 
-    def combine(df: pd.DataFrame) -> pa.Table:
-        return from_pandas(  # Arrow out: keep block schemas hashable
-            df.groupby(keys, as_index=False, sort=False).agg(
-                {c: "min" for c in min_cols}
-            )
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda t: add_hash_bucket(t, keys, n_buckets),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return bucket_pass(ds.map_batches(partial, batch_format="pyarrow"),
+                       [group], by, cut,
+                       schema.append(pa.field("rank", pa.int64())))

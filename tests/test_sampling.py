@@ -334,6 +334,22 @@ def test_temperature_mix_matches_brute(ray_session):
         temperature_mix(ds, "lang", "doc_id", alpha=1.5)
 
 
+def test_group_rebalancing_on_empty_input(ray_session):
+    """rebalance_by_group and temperature_mix keep 0 rows of a 0-row
+    input (the group counts come back typed, not as a column-less
+    frame)."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from ocr_ray.functions.sampling import rebalance_by_group, temperature_mix
+
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                 "lang": pa.array([], pa.string())}))
+    assert rebalance_by_group(ds, "lang", "doc_id").count() == 0
+    assert temperature_mix(ds, "lang", "doc_id", alpha=0.5).count() == 0
+
+
 # --- content-defined chunking ----------------------------------------------
 
 

@@ -371,13 +371,17 @@ def test_cluster_pairs_dataset_matches_union_find(ray_session):
 
 def test_grouped_topn_randomized_matches_pandas(ray_session):
     """Randomized grouped_topn vs pandas rank brute: seeds x group skews x
-    bucket counts x n; rank order and payload identical."""
-    from ocr_ray.stages.partial_agg import grouped_topn
+    n, plus a 0-row input; rank order and payload identical."""
+    import pyarrow as pa
+
+    from ocr_ray.stages.partial_agg import collect_table, grouped_topn
 
     import ray.data as rd
 
-    for seed, n_groups, n_rows, nb, topn in [
-        (0, 3, 200, 4, 2), (1, 40, 500, 64, 3), (2, 1, 50, 8, 5),
+    schema = pa.schema([("k", pa.int64()), ("g", pa.int64()),
+                        ("v", pa.float64())])
+    for seed, n_groups, n_rows, topn in [
+        (0, 3, 200, 2), (1, 40, 500, 3), (2, 1, 50, 5), (3, 1, 0, 2),
     ]:
         rng = np.random.RandomState(seed)
         df = pd.DataFrame(
@@ -385,13 +389,14 @@ def test_grouped_topn_randomized_matches_pandas(ray_session):
              "k": np.arange(n_rows, dtype=np.int64),
              "v": np.round(rng.standard_normal(n_rows), 6)}
         )
+        ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
         got = (
-            grouped_topn(
-                rd.from_pandas(df).repartition(5), "g",
-                ["v", "k"], [False, True], topn,
-                payload_cols=["k", "g", "v"],
-                out_dtypes={"k": "int64", "g": "int64", "v": "float64"},
-                n_buckets=nb,
+            collect_table(
+                grouped_topn(
+                    ds.repartition(5), "g",
+                    [("v", "descending"), ("k", "ascending")], topn, schema,
+                ),
+                schema.append(pa.field("rank", pa.int64())),
             )
             .to_pandas()
             .sort_values(["g", "rank"])
@@ -404,6 +409,74 @@ def test_grouped_topn_randomized_matches_pandas(ray_session):
         pd.testing.assert_frame_equal(
             got, want[["k", "g", "v", "rank"]], check_dtype=False
         )
+
+
+def _agg_cases():
+    """(name, table) inputs of the grouped_agg oracle test: 0 rows, 1 row,
+    random keys with nulls next to an all-null value column, and one hot
+    key holding ~90% of the rows."""
+    import pyarrow as pa
+
+    def table(k, g, v, f, ts):
+        n = len(k)
+        return pa.table({
+            "k": pa.array(k, pa.int64()), "g": pa.array(g, pa.string()),
+            "v": pa.array(v, pa.int64()), "f": pa.array(f, pa.float64()),
+            "z": pa.nulls(n, pa.int64()),
+            "ts": pa.array(ts, pa.timestamp("us")),
+        })
+
+    rng = np.random.RandomState(11)
+    n = 600
+    ts = (np.datetime64("2024-01-01T00:00:00", "us")
+          + rng.randint(0, 10**12, n).astype("timedelta64[us]"))
+    # null keys only in the later blocks: a key must land in one bucket
+    # whether or not its block also holds nulls
+    k = [None if x == 0 and i >= n // 2 else int(x)
+         for i, x in enumerate(rng.randint(0, 30, n))]
+    g = [None if x == 0 else "abc"[x % 3] for x in rng.randint(0, 7, n)]
+    v = [None if x < 0 else int(x) for x in rng.randint(-50, 1000, n)]
+    f = list(rng.randint(-8, 8, n) / 2.0)
+    hot = [7 if x < 9 else int(x) for x in rng.randint(0, 100, n)]
+    return [
+        ("empty", table([], [], [], [], [])),
+        ("one_row", table([3], ["a"], [5], [1.5], ts[:1])),
+        ("nulls", table(k, g, v, f, ts)),
+        ("hot_key", table(hot, ["a"] * n, v, f, ts)),
+    ]
+
+
+@pytest.mark.parametrize("case", [c for c, _ in _agg_cases()])
+def test_grouped_agg_matches_duckdb_group_by(ray_session, case):
+    """The distributed grouped_agg against DuckDB's GROUP BY on the same
+    rows split over several blocks: null keys are groups, a sum over only
+    nulls is null, MIN of a timestamp stays a timestamp, and the output
+    is typed even on a 0-row input."""
+    import duckdb
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from ocr_ray.stages.partial_agg import collect_table, grouped_agg
+
+    t = dict(_agg_cases())[case]
+    blocks = [t.slice(i, 97) for i in range(0, t.num_rows, 97)] or [t]
+    schema = pa.schema([("k", pa.int64()), ("g", pa.string()),
+                        ("v", pa.int64()), ("f", pa.float64()),
+                        ("z", pa.int64()), ("ts", pa.timestamp("us")),
+                        ("n", pa.int64())])
+    got = collect_table(
+        grouped_agg(rd.from_arrow(blocks), ["k", "g"], ["v", "f", "z"],
+                    min_cols=["ts"]),
+        schema,
+    )
+    assert got.schema == schema
+    want = duckdb.sql(
+        "SELECT k, g, SUM(v)::BIGINT AS v, SUM(f) AS f, SUM(z)::BIGINT AS z,"
+        " MIN(ts) AS ts, COUNT(*) AS n FROM t GROUP BY k, g"
+    ).arrow().cast(schema)
+    order = [("k", "ascending"), ("g", "ascending")]
+    assert got.sort_by(order).equals(want.sort_by(order))
 
 
 def test_rolling_user_sum_negative_values(ray_session, tmp_path):
