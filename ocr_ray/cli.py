@@ -38,7 +38,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return 0
     from .pipelines.extract import run_extraction
 
-    ds = run_extraction(args.input, args.output)
+    run_extraction(args.input, args.output)
     print(json.dumps({"mode": "direct", "output": args.output}))
     return 0
 
@@ -198,7 +198,10 @@ def main(argv: list[str] | None = None) -> int:
 
     pe = sub.add_parser("extract", help="run the extraction pipeline")
     pe.add_argument("--input", required=True, help="turns parquet file/dir")
-    pe.add_argument("--output", required=True, help="output directory")
+    pe.add_argument("--output", required=True,
+                    help="output directory; without --resume it must hold "
+                         "no parquet file yet and gets the span parquet "
+                         "files (one file below the reconcile limit)")
     pe.add_argument("--resume", action="store_true",
                     help="checkpointed per-partition run (skip completed)")
     pe.set_defaults(fn=cmd_extract)

@@ -5,12 +5,13 @@ Engine shape (SURVEY.md §3.1 "Engine shape"):
     read_parquet(turns, pruned columns)
       -> map_batches(extract_batch_counted, task pool)  # fused score/propose/decode
       -> materialize spans
-      -> reconcile_sorted: per-conversation global span ordinal span_seq
-         (O2 analog). Below LOCAL_ROW_LIMITS["reconcile"] spans it is
-         per-turn offset + span_idx, the offsets computed on the driver
-         and appended by a map fused into the write; above it ONE range
-         sort (conv_id, turn_idx, span_idx) + the shared carry-scan
-      -> write_parquet
+      -> reconcile: per-conversation global span ordinal span_seq (O2
+         analog). Below LOCAL_ROW_LIMITS["reconcile"] spans the driver
+         pulls the span table and sets span_seq = per-turn offset +
+         span_idx in one Arrow join; above it ONE range sort (conv_id,
+         turn_idx, span_idx) + the shared carry-scan
+      -> write: below the limit the driver writes one part-00000.parquet,
+         above it Ray's write_parquet
 
 Drop and dead-letter counters come from the same fused operator:
 :func:`extract_metrics_totals` maps ``metrics_batch`` (which wraps
@@ -19,20 +20,26 @@ rows on the driver. The resumable, per-partition layout is
 ``ocr_ray.state.lineage.CheckpointedExtraction``.
 
 The extractor stage is the only payload-heavy stage. A job below the
-reconcile limit runs as two Ray Data executions (extract + materialize,
-then assign + write) and sorts no span row; above it the sort is the one
-wide operation, and a skewed mega-conversation just spans more sorted
-blocks.
+reconcile limit is ONE Ray Data execution (read + extract +
+materialize) and sorts no span row: each operator after it runs where
+its input already is, on the driver. Above the limit the sort is the
+one wide operation, and a skewed mega-conversation just spans more
+sorted blocks. Every job writes into a new output directory and leaves
+at least one typed file, also when it yields no span.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
+from ..pqread import parquet_files, require_new_sink
 from ..pqread import read_parquet as _read_parquet
 
 from ..stages.carry_scan import cluster_cpus, group_ordinal_scan, run_starts
@@ -46,6 +53,8 @@ __all__ = [
     "extract_metrics_totals",
     "turn_offsets",
     "reconcile_sorted",
+    "write_spans",
+    "reconcile_and_write",
     "run_extraction",
 ]
 
@@ -53,10 +62,6 @@ TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
 # turns per extractor batch
 BATCH_ROWS = 1024
-
-# the span columns reconciliation reads
-SPAN_KEYS = pa.schema([SPAN_SCHEMA.field(c) for c in ("conv_id", "turn_idx", "span_idx")])
-
 
 def read_turns_any(path: str, format: str = "parquet") -> rd.Dataset:
     """Multi-format turn source (S1 variants): parquet (primary), csv, or
@@ -193,57 +198,96 @@ def _with_seq(spans: pa.Table, seq) -> pa.Table:
     return spans.append_column("span_seq", pa.array(seq, pa.int64()))
 
 
+def _assign_local(spans: pa.Table) -> pa.Table:
+    """``spans`` with ``span_seq`` = its turn's offset + ``span_idx``:
+    one join of the span keys with :func:`turn_offsets`, rows in input
+    order."""
+    rows = spans.select(["conv_id", "turn_idx"]).append_column(
+        "__row", pa.array(np.arange(spans.num_rows)))
+    j = rows.join(turn_offsets(spans), ["conv_id", "turn_idx"],
+                  use_threads=False)
+    seq = np.empty(spans.num_rows, np.int64)
+    seq[j["__row"].to_numpy()] = j["offset"].to_numpy()
+    return _with_seq(spans, seq + spans["span_idx"].to_numpy())
+
+
+def _reconcile(spans: rd.Dataset) -> pa.Table | rd.Dataset:
+    """:func:`reconcile_sorted` without the final wrap: below the
+    reconcile limit (and for a job without spans) the reconciled rows as
+    one driver table, at or above it the sorted dataset."""
+    spans = spans.materialize()
+    table = local_table(spans, "reconcile", SPAN_SCHEMA)
+    if table is not None:
+        return _assign_local(table)
+    if spans.count() == 0:
+        return _with_seq(SPAN_SCHEMA.empty_table(), [])
+    return group_ordinal_scan(
+        spans, ["conv_id", "turn_idx", "span_idx"], _with_seq
+    )
+
+
 def reconcile_sorted(spans: rd.Dataset) -> rd.Dataset:
     """Span reconciliation (the O2 stable-ordering contract inter-turn):
     each span gets ``span_seq``, its 0-based ordinal within its
     conversation under stable (turn_idx, span_idx) order.
 
     Below ``LOCAL_ROW_LIMITS["reconcile"]`` span rows no span row is
-    sorted or moved: ``span_idx`` runs 0..k-1 within a turn, so
-    ``span_seq`` = (spans in the conversation's earlier turns) +
-    ``span_idx``. The driver pulls the materialized span blocks whole
-    (text included; on one node a zero-copy object-store read), keeps
-    their key columns, computes one offset per turn
-    (:func:`turn_offsets`), and one map task per block joins the offsets
-    back, fused with whatever consumes the result (e.g. the write). At or
-    above the limit, ONE range sort on (conv_id, turn_idx, span_idx) and
-    the shared carry-scan
+    sorted: ``span_idx`` runs 0..k-1 within a turn, so ``span_seq`` =
+    (spans in the conversation's earlier turns) + ``span_idx``. The
+    driver pulls the materialized span table whole (on one node a
+    zero-copy object-store read), computes one offset per turn
+    (:func:`turn_offsets`), joins it back in one Arrow kernel, and the
+    result is that driver table, in input row order. At or above the
+    limit, ONE range sort on (conv_id, turn_idx, span_idx) and the
+    shared carry-scan
     (:func:`ocr_ray.stages.carry_scan.group_ordinal_scan`) number the
     spans with O(blocks) driver state; a mega-conversation just spans
-    more sorted blocks. Output rows keep no global order on the local
-    branch; a job without spans returns 0 rows that still carry
-    ``span_seq``."""
-    spans = spans.materialize()
-    keys = local_table(spans, "reconcile", SPAN_KEYS)
-    if spans.count() == 0:
-        sch = spans.schema()  # None when no block is typed
-        empty = (pa.schema(list(zip(sch.names, sch.types))) if sch
-                 else SPAN_SCHEMA).empty_table()
-        return rd.from_arrow(_with_seq(empty, []))
-    if keys is None:
-        return group_ordinal_scan(
-            spans, ["conv_id", "turn_idx", "span_idx"], _with_seq
-        )
-    ref = ray.put(turn_offsets(keys))
+    more sorted blocks. A job without spans returns 0 rows of
+    ``SPAN_SCHEMA`` plus ``span_seq``."""
+    out = _reconcile(spans)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
 
-    def assign(t: pa.Table) -> pa.Table:
-        rows = t.select(["conv_id", "turn_idx"]).append_column(
-            "__row", pa.array(np.arange(t.num_rows)))
-        j = rows.join(ray.get(ref), ["conv_id", "turn_idx"], use_threads=False)
-        seq = np.empty(t.num_rows, np.int64)
-        seq[j["__row"].to_numpy()] = j["offset"].to_numpy()
-        return _with_seq(t, seq + t["span_idx"].to_numpy())
 
-    return spans.map_batches(assign, batch_size=None, batch_format="pyarrow")
+def write_spans(spans: pa.Table | rd.Dataset, out_dir: str) -> None:
+    """Write span rows into ``out_dir``, which must hold no parquet file
+    yet (``FileExistsError`` otherwise: a re-run would duplicate every
+    span). A driver table becomes ONE file, ``part-00000.parquet``; a
+    dataset goes through Ray's write, and when it holds no rows the
+    directory still gets one typed 0-row ``SPAN_SCHEMA`` file, so every
+    finished write leaves a readable output."""
+    require_new_sink(out_dir, "write_spans")
+    if isinstance(spans, rd.Dataset):
+        spans.write_parquet(out_dir)
+        if parquet_files(out_dir):
+            return
+        spans = SPAN_SCHEMA.empty_table()
+    os.makedirs(out_dir, exist_ok=True)
+    pq.write_table(spans, os.path.join(out_dir, "part-00000.parquet"))
+
+
+def reconcile_and_write(spans: rd.Dataset, out_dir: str | None = None) -> rd.Dataset:
+    """:func:`reconcile_sorted` of ``spans``, written into the new
+    directory ``out_dir`` if given (:func:`write_spans`). Below the
+    reconcile limit the driver writes the reconciled table as one file
+    and no second Ray Data execution runs; at or above it Ray writes the
+    sorted dataset."""
+    if out_dir is not None:
+        require_new_sink(out_dir, "reconcile_and_write")
+    out = _reconcile(spans)
+    if out_dir is not None:
+        write_spans(out, out_dir)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
 
 
 def run_extraction(turns_path: str, out_dir: str | None = None) -> rd.Dataset:
     """End-to-end: read -> extract -> reconcile (-> write if out_dir).
 
-    Output is a parquet directory of part files; the resumable
+    Below the reconcile limit the job is ONE Ray Data execution (read,
+    fused extract map, materialize); reconcile and the write of one
+    ``part-00000.parquet`` run on the driver. At or above it the range
+    sort and Ray's write add their executions. ``out_dir`` must be new
+    or hold no parquet file (``FileExistsError``), and a job without
+    spans still leaves one typed 0-row file. The resumable
     per-partition form of this job is
     ``ocr_ray.state.lineage.CheckpointedExtraction``."""
-    spans = reconcile_sorted(extract_spans(read_turns(turns_path)))
-    if out_dir is not None:
-        spans.write_parquet(out_dir)
-    return spans
+    return reconcile_and_write(extract_spans(read_turns(turns_path)), out_dir)

@@ -19,17 +19,22 @@ query (read_operator.py:111) and would log the same warning once. The
 module-import logging filter below drops exactly that message — the
 fallback it reports is correct, the blocks themselves are clean, and the
 only other message that logger emits is an ERROR, which still passes.
+
+The sink side shares one contract: a parquet output directory must start
+without parquet files (:func:`require_new_sink`), because every writer
+here adds part files next to whatever is there.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 
 import pyarrow as pa
 
 import ray.data as rd
 
-__all__ = ["read_parquet"]
+__all__ = ["read_parquet", "parquet_files", "require_new_sink"]
 
 
 def _strip(t: pa.Table) -> pa.Table:
@@ -75,3 +80,22 @@ def read_parquet(paths, *, columns=None, **kwargs) -> rd.Dataset:
     entering any shuffle carry hashable schemas.
     """
     return rd.read_parquet(paths, columns=columns, _block_udf=_strip, **kwargs)
+
+
+def parquet_files(d: str) -> list[str]:
+    """The sorted ``.parquet`` file names in directory ``d``; none when
+    ``d`` does not exist."""
+    if not os.path.isdir(d):
+        return []
+    return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+
+
+def require_new_sink(d: str, who: str) -> None:
+    """Raise ``FileExistsError`` when ``d`` already holds parquet files:
+    writes add part files, so a re-run into the same directory would mix
+    (and duplicate) its rows with the previous run's."""
+    if parquet_files(d):
+        raise FileExistsError(
+            f"{who}: {d} already holds parquet files; point at a new "
+            "directory or remove the old output first"
+        )

@@ -12,10 +12,9 @@ needs at scale.
 
 from __future__ import annotations
 
-import os
-
 import ray.data as rd
 
+from ..pqread import parquet_files, require_new_sink
 from ..pqread import read_parquet as _read_parquet
 
 
@@ -32,19 +31,10 @@ def compact_parquet(
     serves from footer metadata without scanning data. Rows are
     preserved exactly; file count drops from O(tasks x partitions) to
     O(n / target_rows)."""
-    if os.path.isdir(out_dir) and any(
-        f.endswith(".parquet") for f in os.listdir(out_dir)
-    ):
-        raise FileExistsError(
-            f"compact_parquet: {out_dir} already holds parquet files — "
-            "write_parquet appends, so re-running would duplicate rows; "
-            "point at an empty directory or remove the old output first"
-        )
+    require_new_sink(out_dir, "compact_parquet")
     ds = _read_parquet(in_dir)
     n = ds.count()  # parquet metadata count: no data scan
     n_files = max(1, -(-n // target_rows))
     ds.repartition(n_files).write_parquet(out_dir)
-    out_files = [
-        f for f in os.listdir(out_dir) if f.endswith(".parquet")
-    ]
-    return {"rows": n, "files_out": len(out_files), "out_dir": out_dir}
+    return {"rows": n, "files_out": len(parquet_files(out_dir)),
+            "out_dir": out_dir}

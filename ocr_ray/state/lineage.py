@@ -5,7 +5,8 @@ Design (SURVEY.md §4 "Checkpoint/resume" row):
 
 - Partition unit = input parquet file (at cluster scale: file groups sized
   to ~1-10 GB). Each partition is extracted independently and written to
-  ``out_dir/part=<id>/`` ATOMICALLY (write to a temp dir, rename), then a
+  ``out_dir/spans/part-<id>/`` ATOMICALLY (write to a temp dir, rename;
+  a partition without spans leaves one typed 0-row file), then a
   lineage record is appended to ``<ckpt>/lineage/<id>.json``:
   partition_id, input fragments, row ranges, operator versions, counters
   (turns_in, spans_out), status.
@@ -14,7 +15,8 @@ Design (SURVEY.md §4 "Checkpoint/resume" row):
   duplicates (idempotent deterministic output layout).
 - Reconciliation (the conv_id shuffle) is stage 2 with its own lineage
   record, reading the (small) span parts — so a mid-pipeline crash after
-  extraction resumes at the shuffle, not at the payload scan.
+  extraction resumes at the shuffle, not at the payload scan. Below the
+  reconcile limit the driver writes ``reconciled/`` as one file.
 
 The operator-version fingerprint hashes the semantic constants
 (ocr_ray.config) so a semantics change invalidates old checkpoints.
@@ -27,8 +29,9 @@ import json
 import os
 import shutil
 
-import ray.data as rd
+import pyarrow.parquet as pq
 
+from ..pqread import parquet_files
 from ..pqread import read_parquet as _read_parquet
 
 from .. import config as C
@@ -56,6 +59,12 @@ def operator_fingerprint() -> str:
         "tags": sorted(C.TAG_WEIGHTS.items()),
     }
     return hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _rows(d: str) -> int:
+    """Rows of the parquet files in ``d``, from their footers."""
+    return sum(pq.read_metadata(os.path.join(d, f)).num_rows
+               for f in parquet_files(d))
 
 
 class CheckpointedExtraction:
@@ -109,9 +118,7 @@ class CheckpointedExtraction:
 
     def partitions(self) -> list[str]:
         if os.path.isdir(self.turns_path):
-            return sorted(
-                f for f in os.listdir(self.turns_path) if f.endswith(".parquet")
-            )
+            return parquet_files(self.turns_path)
         return [os.path.basename(self.turns_path)]
 
     def _partition_file(self, pid: str) -> str:
@@ -123,7 +130,7 @@ class CheckpointedExtraction:
 
     def extract_partition(self, pid: str) -> dict:
         """Stage 1 for one partition: extract spans, atomic write, lineage."""
-        from ..pipelines.extract import extract_spans, read_turns
+        from ..pipelines.extract import extract_spans, read_turns, write_spans
 
         part_id = pid.replace(".parquet", "")
         # "part-" (not "part=") so parquet readers don't hive-parse the dir
@@ -136,19 +143,9 @@ class CheckpointedExtraction:
 
         turns = read_turns(self._partition_file(pid))
         turns_in = turns.count()
-        spans = extract_spans(turns)
-        spans.write_parquet(tmp)
+        write_spans(extract_spans(turns), tmp)
         os.rename(tmp, dest)
-
-        counters = {"turns_in": turns_in}
-        import pyarrow.parquet as pq
-
-        spans_out = sum(
-            pq.read_metadata(os.path.join(dest, f)).num_rows
-            for f in os.listdir(dest)
-            if f.endswith(".parquet")
-        )
-        counters["spans_out"] = spans_out
+        counters = {"turns_in": turns_in, "spans_out": _rows(dest)}
         self._write_record(
             f"extract-{part_id}",
             input_fragments=[self._partition_file(pid)],
@@ -180,7 +177,7 @@ class CheckpointedExtraction:
         consumed-input snapshot matches the current extract records — a
         re-extracted / new / invalidated stage-1 partition forces a re-run
         (otherwise the reconciled output would go silently stale)."""
-        from ..pipelines.extract import reconcile_sorted
+        from ..pipelines.extract import reconcile_and_write
 
         consumed = self._extract_state()
         if self._is_complete("reconcile"):
@@ -195,17 +192,9 @@ class CheckpointedExtraction:
         tmp = self.final_dir + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
         shutil.rmtree(self.final_dir, ignore_errors=True)
-        spans = _read_parquet(self.spans_dir)
-        out = reconcile_sorted(spans)
-        out.write_parquet(tmp)
+        reconcile_and_write(_read_parquet(self.spans_dir), tmp)
         os.rename(tmp, self.final_dir)
-        import pyarrow.parquet as pq
-
-        n = sum(
-            pq.read_metadata(os.path.join(self.final_dir, f)).num_rows
-            for f in os.listdir(self.final_dir)
-            if f.endswith(".parquet")
-        )
+        n = _rows(self.final_dir)
         self._write_record(
             "reconcile",
             input_fragments=[self.spans_dir],
