@@ -1965,9 +1965,14 @@ def _bpe_sql(k: int = 6, mode: str = "merges") -> str:
     Python str.replace / Arrow replace_substring, verified
     byte-for-byte). Empty winner rounds no-op via the chr(1) sentinel
     (chr(1) never occurs in whitespace-split tokens), matching the
-    engine's early break."""
+    engine's early break.
+
+    Every CTE is ``AS MATERIALIZED``: each round reads the previous
+    round's CTE several times (its pair counts, its winner and its
+    replace), so DuckDB inlining them recomputed the whole chain per
+    reference and the twin stalled (over 40 s at sf0.001)."""
     parts = [r"""
-        WITH w0 AS (
+        WITH w0 AS MATERIALIZED (
           -- regexp '.' matches any char but newline; tokens are
           -- whitespace-split so they contain neither
           SELECT array_to_string(regexp_extract_all(tok, '.'), ' ')
@@ -1992,7 +1997,7 @@ def _bpe_sql(k: int = 6, mode: str = "merges") -> str:
             )
             excl = f"WHERE pair NOT IN ({union})"
         parts.append(f"""
-        , p{r} AS (
+        , p{r} AS MATERIALIZED (
           SELECT l || ' ' || r2 AS pair, CAST(sum(freq) AS BIGINT) AS n
           FROM (
             SELECT w.freq, t.tok AS l,
@@ -2004,10 +2009,10 @@ def _bpe_sql(k: int = 6, mode: str = "merges") -> str:
                        AS ord
             ) t
           ) WHERE r2 IS NOT NULL GROUP BY 1
-        ), sel{r} AS (
+        ), sel{r} AS MATERIALIZED (
           SELECT pair, n FROM p{r} {excl}
           ORDER BY n DESC, pair LIMIT 1
-        ), w{r} AS (
+        ), w{r} AS MATERIALIZED (
           SELECT trim(replace(' ' || syms || ' ',
                    COALESCE((SELECT ' ' || pair || ' ' FROM sel{r}),
                             chr(1)),
@@ -2022,12 +2027,12 @@ def _bpe_sql(k: int = 6, mode: str = "merges") -> str:
         # original word is replace(syms, ' ', '') — symbol concat is
         # the invariant BPE preserves.
         parts.append(f"""
-        , seg AS (
+        , seg AS MATERIALIZED (
           SELECT replace(syms, ' ', '') AS tok,
                  CAST(length(syms) - length(replace(syms, ' ', '')) + 1
                       AS BIGINT) AS n_sub
           FROM w{k}
-        ), dt AS (
+        ), dt AS MATERIALIZED (
           SELECT doc_id, unnest(list_filter(
               string_split_regex(lower(text), '\\s+'),
               x -> x <> '')) AS tok

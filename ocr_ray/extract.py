@@ -16,6 +16,18 @@ these functions, so per-turn parity is structural (SURVEY.md §7.4).
 
 Offsets are char offsets into the NORMALIZED payload
 (ocr_ray.textnorm.normalize_text).
+
+The chain holds no object per unit: ``segment`` returns the payload's
+units as parallel per-turn lists (:class:`ocr_ray.segment.Units`), and
+every step reads those columns — scores are one list comprehension,
+region sizes and proposals are slices, box means and decode members are
+bisections of the ascending start/end lists. Beyond the score array
+and NMS rows, numpy appears only where the result must be bit-exact
+with it (each region's score sum is
+``scores[rs:re+1].sum()``, pairwise, which ``reduceat``, cumsum
+differences and Python ``sum`` miss by an ulp); turns are small (about 8
+units on the ``mixed`` benchmark), so per-turn numpy elsewhere costs
+more than it saves.
 """
 
 from __future__ import annotations
@@ -25,36 +37,41 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from . import config as C
-from .segment import Unit, detect_kind, segment
+from .segment import Units, detect_kind, segment
 from .spanlib import canonicalize, nms_locality
-from .textnorm import ctc_collapse, decode_entities, encode_token, normalize_text
+from .textnorm import (
+    ctc_collapse,
+    decode_entities,
+    encode_token,
+    normalize_text,
+)
 
-__all__ = ["score_units", "propose_spans", "unit_bounds", "decode_span", "extract_turn"]
+__all__ = ["score_units", "propose_spans", "decode_span", "extract_turn"]
 
 
-def score_units(units: list[Unit]) -> np.ndarray:
+def score_units(units: Units) -> np.ndarray:
     """Dense unit confidence — the F_score analog (A1, SURVEY §2.3).
 
     score = clip(tag_weight * (0.5 + 0.5*text_density) - link_density, 0, 1);
     ignore-tagged units are masked to 0 (training-mask analog,
-    reference DataPreprocess/DataGen.py:244-248).
+    reference DataPreprocess/DataGen.py:244-248). The clip is written as
+    conditionals that pick what ``min(1.0, max(0.0, v))`` picks.
     """
     get_w = C.TAG_WEIGHTS.get
     dw = C.DEFAULT_TAG_WEIGHT
+    raw = [
+        get_w(tag, dw) * (0.5 + 0.5 * td) - ld
+        for tag, td, ld in zip(units.tag, units.text_density, units.link_density)
+    ]
     vals = [
-        0.0
-        if u.ignore
-        else min(
-            1.0,
-            max(0.0, get_w(u.tag, dw) * (0.5 + 0.5 * u.text_density) - u.link_density),
-        )
-        for u in units
+        0.0 if ig or not v > 0.0 else v if v < 1.0 else 1.0
+        for v, ig in zip(raw, units.ignore)
     ]
     return np.asarray(vals, dtype=np.float64)
 
 
 def propose_spans(
-    units: list[Unit],
+    units: Units,
     scores: np.ndarray,
     payload_len: int,
     counters: dict[str, int] | None = None,
@@ -95,26 +112,27 @@ def propose_spans(
     # the same order) — but not the coordinate drift of that merge
     # ((s*g0 + acc*p0)/tot is inexact even for g == p). The region sum
     # stays numpy's pairwise sum.
+    starts, ends = units.start, units.end
+    geo_start, geo_end = units.geo_start, units.geo_end
     proposals: list[list[float]] = []
     box = None  # runs continue across regions: NMS sees them adjacent too
     for rs, re_ in regions:
-        members = units[rs : re_ + 1]
-        text_size = sum(u.end - u.start for u in members)
-        if text_size < C.MIN_TEXT_SIZE:
+        stop = re_ + 1
+        if sum(ends[rs:stop]) - sum(starts[rs:stop]) < C.MIN_TEXT_SIZE:
             counters["drop_min_text_size"] = counters.get("drop_min_text_size", 0) + 1
             continue
-        score_sum = float(scores[rs : re_ + 1].sum())
-        for u in members:
-            if box is not None and box[0] == u.geo_start and box[1] == u.geo_end:
+        score_sum = float(scores[rs:stop].sum())
+        for gs, ge in zip(geo_start[rs:stop], geo_end[rs:stop]):
+            if box is not None and box[0] == gs and box[1] == ge:
                 box[2] = score_sum + box[2]
             else:
-                box = [float(u.geo_start), float(u.geo_end), score_sum]
+                box = [float(gs), float(ge), score_sum]
                 proposals.append(box)
     if not proposals:
         return []
 
     # locality-aware NMS in emission order, then standard NMS
-    # (locality_aware_nms.py:38-58)
+    # (locality_aware_nms.py:38-58); its output order is unspecified
     boxes = nms_locality(proposals, C.NMS_THRESH)
     if boxes.shape[0] == 0:
         return []
@@ -127,17 +145,17 @@ def propose_spans(
     # (DetectUtil.py:209-212) — then filter > BOX_THRESH (line 214).
     # Units are in document order and disjoint, so the ones overlapping
     # [s, e) are one index range found by bisection; the terms accumulate
-    # in unit order.
-    starts, ends = unit_bounds(units)
+    # in unit order. The overlap conditionals pick what min/max pick.
     kept: list[tuple[float, float, float]] = []
     for s, e, _ in box_rows:
         span_len = e - s
         if span_len <= 0:
             counters["drop_empty"] = counters.get("drop_empty", 0) + 1
             continue
+        lo, hi = bisect_right(ends, s), bisect_left(starts, e)
         acc = 0.0
-        for i in range(bisect_right(ends, s), bisect_left(starts, e)):
-            acc += score_list[i] * (min(ends[i], e) - max(starts[i], s))
+        for a, b, sc in zip(starts[lo:hi], ends[lo:hi], score_list[lo:hi]):
+            acc += sc * ((e if e < b else b) - (s if s > a else a))
         mean_score = acc / span_len
         if mean_score > C.BOX_THRESH:
             kept.append((s, e, mean_score))
@@ -168,17 +186,10 @@ def propose_spans(
     return out
 
 
-def unit_bounds(units: list[Unit]) -> tuple[list[int], list[int]]:
-    """(starts, ends) of ``units``: both ascending, since units are in
-    document order and disjoint — the lists every bisection searches."""
-    return [u.start for u in units], [u.end for u in units]
-
-
 def decode_span(
     norm_text: str,
     kind: str,
-    units: list[Unit],
-    bounds: tuple[list[int], list[int]],
+    units: Units,
     start: int,
     end: int,
     counters: dict[str, int] | None = None,
@@ -189,31 +200,39 @@ def decode_span(
     alphabet (M11), truncate to the decode window (max_box_width analog),
     CTC-collapse (A5, Module/RecognitionLoss.py:33-38), join with spaces.
 
-    ``bounds`` is :func:`unit_bounds` of ``units``: the members (units
-    overlapping ``[start, end)``) are one index range found by bisection.
-    The window cuts raw tokens before projection; ``encode_token`` maps
-    tokens 1:1, so that equals cutting projected ones."""
+    The members (units overlapping ``[start, end)``) are one index range
+    found by bisection. Their clipped slices are joined with spaces and
+    decoded as one text: entity decoding and ``split`` never cross a
+    space, so this equals decoding and splitting each slice. The window
+    cuts raw tokens before projection; ``encode_token`` maps tokens 1:1,
+    so that equals cutting projected ones."""
     if counters is None:
         counters = {}
-    starts, ends = bounds
-    members = units[bisect_right(ends, start) : bisect_left(starts, end)]
+    starts, ends = units.start, units.end
+    lo, hi = bisect_right(ends, start), bisect_left(starts, end)
     if kind == C.PAYLOAD_PDFISH:
-        members = sorted(members, key=lambda u: (u.page, u.y, u.x, u.start))
-    html = kind == C.PAYLOAD_HTML
-    tokens: list[str] = []
-    extend = tokens.extend
-    for u in members:
-        a, b = max(u.start, start), min(u.end, end)
-        seg = norm_text[a:b]
-        if html and "&" in seg:
-            seg = decode_entities(seg)
-        extend(seg.split())
+        page, y, x = units.page, units.y, units.x
+        order = sorted(range(lo, hi), key=lambda i: (page[i], y[i], x[i], starts[i]))
+        members = [(starts[i], ends[i]) for i in order]
+    else:
+        members = zip(starts[lo:hi], ends[lo:hi])
+    # each member clipped to [start, end)
+    text = " ".join(
+        [
+            norm_text[(start if start > a else a) : (end if end < b else b)]
+            for a, b in members
+        ]
+    )
+    if kind == C.PAYLOAD_HTML:
+        text = decode_entities(text)
+    tokens = text.split()
     if len(tokens) > C.MAX_DECODE_TOKENS:
         counters["drop_window_tokens"] = counters.get("drop_window_tokens", 0) + (
             len(tokens) - C.MAX_DECODE_TOKENS
         )
         del tokens[C.MAX_DECODE_TOKENS :]
-    return " ".join(ctc_collapse(list(map(encode_token, tokens)), C.DECODER_BLANKS))
+    tokens = list(map(encode_token, tokens))
+    return " ".join(ctc_collapse(tokens, C.DECODER_BLANKS))
 
 
 def extract_turn(
@@ -233,9 +252,8 @@ def extract_turn(
         return []
     scores = score_units(units)
     spans = propose_spans(units, scores, len(norm), counters)
-    bounds = unit_bounds(units)
     out = []
     for i, (s, e, sc) in enumerate(spans):
-        text = decode_span(norm, kind, units, bounds, s, e, counters)
+        text = decode_span(norm, kind, units, s, e, counters)
         out.append({"span_idx": i, "start": s, "end": e, "text": text, "score": sc})
     return out

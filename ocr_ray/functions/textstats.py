@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.partial_agg import contiguous_array, local_table, pin_empty, split_ws
+from ..textnorm import ctc_collapse
 
 __all__ = [
     "token_stats_batch",
@@ -219,19 +220,11 @@ class LangId:
 
 def collapse_docs_batch(batch: pa.Table) -> pa.Table:
     """CTC-style collapse of each document's token stream (A5 semantics over
-    the documents table): merge adjacent duplicate tokens, keep order.
-    SQL twin: lag() window over unnest-with-ordinality + string_agg."""
-    texts = batch.column("text").to_pylist()
-    out = []
-    for t in texts:
-        toks = t.split()
-        collapsed = []
-        prev = None
-        for w in toks:
-            if w != prev:
-                collapsed.append(w)
-            prev = w
-        out.append(" ".join(collapsed))
+    the documents table): merge adjacent duplicate tokens, keep order —
+    the decoder's ``ctc_collapse`` (whitespace-split tokens are never the
+    empty blank). SQL twin: lag() window over unnest-with-ordinality +
+    string_agg."""
+    out = [" ".join(ctc_collapse(t.split())) for t in batch.column("text").to_pylist()]
     return pa.Table.from_arrays(
         [batch.column("doc_id"), pa.array(out, pa.string())],
         names=["doc_id", "collapsed"],

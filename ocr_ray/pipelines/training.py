@@ -57,7 +57,7 @@ import ray.data as rd
 
 from .. import config as C
 from ..extract import score_units
-from ..segment import Unit, segment
+from ..segment import Units, segment
 from ..stages.carry_scan import sorted_carry_scan
 from ..textnorm import encode_token, normalize_text
 
@@ -129,31 +129,34 @@ def _stride_count(a: int, b: int, stride: int = LABEL_STRIDE) -> int:
 
 
 class _Block:
-    __slots__ = ("idx", "gs", "ge", "ignore", "units", "scores")
+    __slots__ = ("idx", "gs", "ge", "ignore", "starts", "ends", "scores")
 
     def __init__(self, idx: int, gs: int, ge: int) -> None:
         self.idx = idx
         self.gs = gs
         self.ge = ge
         self.ignore = True
-        self.units: list[Unit] = []
+        self.starts: list[int] = []   # member unit offsets, in unit order
+        self.ends: list[int] = []
         self.scores: list[float] = []
 
 
-def _blocks_of(units: list[Unit], scores: np.ndarray) -> list["_Block"]:
+def _blocks_of(units: Units, scores: np.ndarray) -> list["_Block"]:
     """Group consecutive units by enclosing block extent — one _Block per
     GT polygon (annotation-parse analog, DataGen.py:44-87). A block is
     ignore-tagged when EVERY unit in it is (the reference tags whole
     polys; units inherit the poly tag)."""
     blocks: list[_Block] = []
     cur: _Block | None = None
-    for i, u in enumerate(units):
-        if cur is None or (u.geo_start, u.geo_end) != (cur.gs, cur.ge):
-            cur = _Block(len(blocks), u.geo_start, u.geo_end)
+    for s, e, gs, ge, ig, sc in zip(units.start, units.end, units.geo_start,
+                                    units.geo_end, units.ignore, scores.tolist()):
+        if cur is None or gs != cur.gs or ge != cur.ge:
+            cur = _Block(len(blocks), gs, ge)
             blocks.append(cur)
-        cur.units.append(u)
-        cur.scores.append(float(scores[i]))
-        if not u.ignore:
+        cur.starts.append(s)
+        cur.ends.append(e)
+        cur.scores.append(sc)
+        if not ig:
             cur.ignore = False
     return blocks
 
@@ -316,20 +319,19 @@ def _image_partials(doc_id: int, norm: str) -> tuple | None:
             lg_sum += l_g * float(area4)
             u1 += area4
             # pred map: per-unit constant score on the unit extent
-            for u, s in zip(b.units, b.scores):
-                ov = min(u.end, se) - max(u.start, ss)
+            for us, ue, s in zip(b.starts, b.ends, b.scores):
+                ov = min(ue, se) - max(us, ss)
                 if ov > 0:
-                    inter += s * float(_stride_count(max(u.start, ss),
-                                                     min(u.end, se)))
-                u2 += s * float(_stride_count(u.start, u.end))
+                    inter += s * float(_stride_count(max(us, ss), min(ue, se)))
+                u2 += s * float(_stride_count(us, ue))
         # recognition boxes: every NON-IGNORE poly (size-masked ones keep
         # their labels in the reference; only tag-ignored rows carry the
         # [-1] label that the assembly mask strips, DataGen.py:468-479)
         if not b.ignore and extent <= MAX_BOX_WIDTH:
             wsum = 0
             swsum = 0.0
-            for u, s in zip(b.units, b.scores):
-                ln = u.end - u.start
+            for us, ue, s in zip(b.starts, b.ends, b.scores):
+                ln = ue - us
                 swsum += s * float(ln)
                 wsum += ln
             s_box = swsum / float(wsum) if wsum else 0.0

@@ -115,10 +115,30 @@ def nms_locality(polys: np.ndarray, thres: float = 0.3) -> np.ndarray:
     Exact analog of reference locality_aware_nms.py:38-58 — the single
     forward pass over ``polys`` in their given order is order-DEPENDENT and
     part of the parity contract (SURVEY.md §2.7 D1).
+
+    Returns the surviving rows in an unspecified order; callers sort them
+    (``propose_spans`` puts them in reading order).
+
+    Early-out: when every row starts at or after the end of every row
+    emitted before it (and ``thres >= 0``), every pair has IoU 0, so
+    nothing merges and nothing is suppressed: the survivors are the
+    input rows.
     """
+    rows = polys.tolist() if isinstance(polys, np.ndarray) else polys
+    if not rows:
+        return np.zeros((0, 3))
+    if thres >= 0 and _disjoint_in_order(rows):
+        return np.array(rows)
+    return standard_nms(np.array(_locality_merge(rows, thres)), thres)
+
+
+def _locality_merge(rows: list, thres: float) -> list[list[float]]:
+    """The sequential pass of :func:`nms_locality`: each row merges into
+    the running box when their IoU exceeds ``thres``, else the running box
+    is emitted and the row starts a new one."""
     S: list[list[float]] = []
     p: list[float] | None = None
-    for g0, g1, gs in polys.tolist() if isinstance(polys, np.ndarray) else polys:
+    for g0, g1, gs in rows:
         if p is not None:
             # inline interval_iou on scalars (same arithmetic)
             iou = 0.0
@@ -139,11 +159,20 @@ def nms_locality(polys: np.ndarray, thres: float = 0.3) -> np.ndarray:
                 continue
             S.append(p)
         p = [g0, g1, gs]
-    if p is not None:
-        S.append(p)
-    if len(S) == 0:
-        return np.zeros((0, 3))
-    return standard_nms(np.array(S), thres)
+    S.append(p)
+    return S
+
+
+def _disjoint_in_order(rows: list) -> bool:
+    """Each row starts at or after the largest end emitted before it: then
+    ``inter = min(ends) - max(starts) <= 0`` for every pair."""
+    hi = -math.inf
+    for g0, g1, _ in rows:
+        if g0 < hi:
+            return False
+        if g1 > hi:
+            hi = g1
+    return True
 
 
 def reading_order(spans: np.ndarray) -> np.ndarray:

@@ -121,17 +121,16 @@ def score_units_batch(batch: pa.Table) -> pa.Table:
         if not text:
             continue
         units = segment(text, kind)
-        scores = score_units(units)
-        for i, (u, s) in enumerate(zip(units, scores)):
-            rows["conv_id"].append(cid)
-            rows["turn_idx"].append(tix)
-            rows["unit_idx"].append(i)
-            rows["start"].append(u.start)
-            rows["end"].append(u.end)
-            rows["geo_start"].append(u.geo_start)
-            rows["geo_end"].append(u.geo_end)
-            rows["tag"].append(u.tag)
-            rows["score"].append(float(s))
+        n = len(units)
+        rows["conv_id"] += [cid] * n
+        rows["turn_idx"] += [tix] * n
+        rows["unit_idx"] += range(n)
+        rows["start"] += units.start
+        rows["end"] += units.end
+        rows["geo_start"] += units.geo_start
+        rows["geo_end"] += units.geo_end
+        rows["tag"] += units.tag
+        rows["score"] += score_units(units).tolist()
     return pa.Table.from_arrays(
         [pa.array(rows[f.name], f.type) for f in UNIT_SCHEMA],
         schema=UNIT_SCHEMA,

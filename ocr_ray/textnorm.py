@@ -132,12 +132,12 @@ def ctc_collapse(tokens: list[str], blanks: frozenset[str] = frozenset()) -> lis
 
     ``blanks`` is the decoder's boilerplate-token set in addition to the
     empty BLANK_TOKEN; membership is checked AFTER repeat merging, matching
-    CTC decode order (repeats merge first, blanks drop second).
+    CTC decode order (repeats merge first, blanks drop second): one pass
+    keeps a token that differs from its predecessor in the INPUT and is no
+    blank, so a blank between two equal tokens keeps both.
     """
-    out: list[str] = []
-    prev: str | None = None
-    for tok in tokens:
-        if tok != prev:
-            out.append(tok)
-        prev = tok
-    return [t for t in out if t != BLANK_TOKEN and t not in blanks]
+    return [
+        tok
+        for prev, tok in zip([None, *tokens], tokens)
+        if tok != prev and tok != BLANK_TOKEN and tok not in blanks
+    ]

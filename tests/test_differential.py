@@ -43,11 +43,11 @@ def independent_propose(units, scores):
     last = None
     for lo, hi in groups:
         members = list(range(lo, hi + 1))
-        if sum(units[i].end - units[i].start for i in members) < C.MIN_TEXT_SIZE:
+        if sum(units.end[i] - units.start[i] for i in members) < C.MIN_TEXT_SIZE:
             continue
         ssum = float(np.sum(np.asarray([scores[i] for i in members])))
         for i in members:
-            box = (units[i].geo_start, units[i].geo_end)
+            box = (units.geo_start[i], units.geo_end[i])
             if box == last:
                 gs, ge, total = proposals[-1]
                 proposals[-1] = (gs, ge, ssum + total)
@@ -100,8 +100,8 @@ def independent_propose(units, scores):
         if span_len <= 0:
             continue
         acc = 0.0
-        for u, sc in zip(units, scores):
-            ov = min(u.end, e) - max(u.start, s)
+        for us, ue, sc in zip(units.start, units.end, scores):
+            ov = min(ue, e) - max(us, s)
             if ov > 0:
                 acc += float(sc) * ov
         m = acc / span_len

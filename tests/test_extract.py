@@ -9,7 +9,6 @@ from ocr_ray.extract import (
     extract_turn,
     propose_spans,
     score_units,
-    unit_bounds,
 )
 from ocr_ray.segment import detect_kind, segment
 
@@ -23,38 +22,38 @@ def test_detect_kind():
 def test_segment_plain_paragraph_geometry():
     text = "alpha beta\ngamma delta\n\nlast line"
     units = segment(text, "plain")
-    assert [text[u.start:u.end] for u in units] == ["alpha beta", "gamma delta", "last line"]
+    assert [text[s:e] for s, e in zip(units.start, units.end)] == [
+        "alpha beta", "gamma delta", "last line"]
     # first paragraph: two lines share the paragraph geometry
-    assert units[0].geo_start == 0 and units[0].geo_end == 22
-    assert units[1].geo_start == 0 and units[1].geo_end == 22
-    assert units[2].geo_start == units[2].start
+    assert units.geo_start[:2] == [0, 0] and units.geo_end[:2] == [22, 22]
+    assert units.geo_start[2] == units.start[2]
 
 
 def test_segment_html_block_stack_and_links():
     text = '<nav><a href="/x">home</a></nav><main><p>body words here</p></main>'
     units = segment(text, "html")
-    tags = [(u.tag, u.link_density) for u in units]
+    tags = list(zip(units.tag, units.link_density))
     assert ("nav", 1.0) in tags       # link text inside nav
     assert ("p", 0.0) in tags
-    p_unit = [u for u in units if u.tag == "p"][0]
-    assert text[p_unit.start:p_unit.end] == "body words here"
+    i = units.tag.index("p")
+    assert text[units.start[i]:units.end[i]] == "body words here"
 
 
 def test_segment_pdfish_records_and_blocks():
     text = "%PDF\nL 0 120 10 first words\nL 0 100 10 second words\nL 1 100 10 next page"
     units = segment(text, "pdfish")
     assert len(units) == 3
-    assert units[0].page == 0 and units[0].y == 120
+    assert units.page[0] == 0 and units.y[0] == 120
     # page-0 block geometry spans both page-0 records
-    assert units[0].geo_start == units[1].geo_start
-    assert units[2].geo_start == units[2].start  # page 1 is its own block
+    assert units.geo_start[0] == units.geo_start[1]
+    assert units.geo_start[2] == units.start[2]  # page 1 is its own block
 
 
 def test_scores_boilerplate_below_threshold():
     text = '<nav><a href="/x">home page link</a></nav><main><p>real content words flow nicely</p></main>'
     units = segment(text, "html")
     scores = score_units(units)
-    by_tag = {u.tag: s for u, s in zip(units, scores)}
+    by_tag = dict(zip(units.tag, scores))
     assert by_tag["nav"] <= C.SCORE_THRESH
     assert by_tag["p"] > C.SCORE_THRESH
 
@@ -63,7 +62,7 @@ def test_ignore_units_masked():
     # reference DataGen.py:80-84 ignore-tag analog
     units = segment("good content line here\n### ignored heading\nmore good words", "plain")
     scores = score_units(units)
-    ign = [s for u, s in zip(units, scores) if u.ignore]
+    ign = [s for ig, s in zip(units.ignore, scores) if ig]
     assert ign and all(s == 0.0 for s in ign)
 
 
@@ -104,7 +103,7 @@ def test_decode_pdfish_reading_order():
     spans = propose_spans(units, score_units(units), len(text))
     assert len(spans) == 1
     s, e, _ = spans[0]
-    out = decode_span(text, "pdfish", units, unit_bounds(units), s, e)
+    out = decode_span(text, "pdfish", units, s, e)
     assert out == "first words second words"
 
 
@@ -246,7 +245,7 @@ def test_plain_paragraph_span_starts_at_block_start():
     # truncated to 4
     text = "cya\n\n; column y2 row\n& plan\ntable"
     units = segment(text, "plain")
-    assert {(u.geo_start, u.geo_end) for u in units[1:]} == {(5, 33)}
+    assert set(zip(units.geo_start[1:], units.geo_end[1:])) == {(5, 33)}
     spans = extract_turn(text)
     assert [(s["start"], s["end"]) for s in spans] == [(5, 33)]
     assert spans[0]["text"] == "; column y2 row & plan table"
@@ -258,8 +257,8 @@ def test_paragraph_split_by_ignore_lines_starts_at_block_start():
     # weighted average once drifted the start to 4
     text = "cya\n\n@ . alpha the\n... x3 ;\n### alpha q\n### q plan\ny2\nab1 alpha plan"
     units = segment(text, "plain")
-    assert [u.ignore for u in units[1:]] == [False, False, True, True, False, False]
-    assert {(u.geo_start, u.geo_end) for u in units[1:]} == {(5, 68)}
+    assert units.ignore[1:] == [False, False, True, True, False, False]
+    assert set(zip(units.geo_start[1:], units.geo_end[1:])) == {(5, 68)}
     spans = extract_turn(text)
     assert [(s["start"], s["end"]) for s in spans] == [(5, 68)]
 

@@ -226,10 +226,11 @@ _pdf_lines = st.lists(
 
 
 def _check_document_order(units):
-    for u, v in zip(units, units[1:]):
-        assert u.start < u.end <= v.start, (u, v)
-    if units:
-        assert units[-1].start < units[-1].end
+    bounds = list(zip(units.start, units.end))
+    for (us, ue), (vs, ve) in zip(bounds, bounds[1:]):
+        assert us < ue <= vs, (us, ue, vs, ve)
+    if bounds:
+        assert bounds[-1][0] < bounds[-1][1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,3 +244,63 @@ def test_segment_units_in_document_order(plain, html, pdf):
     _check_document_order(segment(normalize_text(html), "html"))
     lines = [f"L {p} {y} {x} {t}" if rec else t for p, y, x, t, rec in pdf]
     _check_document_order(segment("%PDF\n" + "\n".join(lines), "pdfish"))
+
+
+_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+_score = st.floats(0.01, 10, allow_nan=False)
+_thres = st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0])
+
+
+@st.composite
+def _disjoint_in_order_rows(draw):
+    """Rows each starting at or after every earlier row's end; empty and
+    inverted rows included, so the running max end (not the previous
+    row's end) is what keeps them disjoint."""
+    rows = []
+    hi = draw(_coord)
+    for _ in range(draw(st.integers(1, 30))):
+        s = hi + draw(st.floats(0, 50, allow_nan=False))
+        e = s + draw(st.floats(-20, 50, allow_nan=False))
+        rows.append([s, e, draw(_score)])
+        hi = max(hi, e)
+    return rows
+
+
+def _full_nms(rows, thres):
+    from ocr_ray.spanlib import _locality_merge, standard_nms
+
+    return standard_nms(np.array(_locality_merge(rows, thres)), thres)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disjoint_in_order_rows(), _thres)
+def test_nms_early_out_equals_full_path(rows, thres):
+    """Rows disjoint in emission order all survive, and they are exactly
+    the full merge + standard_nms survivors (output order is unspecified,
+    so the rows compare sorted)."""
+    from ocr_ray.spanlib import _disjoint_in_order
+
+    assert _disjoint_in_order(rows)
+    got = sorted(nms_locality([list(r) for r in rows], thres).tolist())
+    assert got == sorted(rows)
+    assert got == sorted(_full_nms(rows, thres).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord, _score), min_size=2, max_size=30),
+       _thres)
+def test_nms_overlapping_rows_take_full_path(rows, thres):
+    from hypothesis import assume
+
+    from ocr_ray.spanlib import _disjoint_in_order
+
+    rows = [[min(a, b), max(a, b), s] for a, b, s in rows]
+    assume(not _disjoint_in_order(rows))
+    assert np.array_equal(nms_locality(rows, thres), _full_nms(rows, thres))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_disjoint_in_order_rows())
+def test_nms_negative_threshold_takes_full_path(rows):
+    # below 0 even IoU 0 merges and suppresses: no early-out
+    assert np.array_equal(nms_locality(rows, -0.1), _full_nms(rows, -0.1))

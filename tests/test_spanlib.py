@@ -123,3 +123,12 @@ def test_standard_nms_equals_greedy_reference(thres):
         got = standard_nms(S.copy(), thres)
         want = _greedy_nms_reference(S.copy(), thres)
         assert got.shape == want.shape and (got == want).all(), (case, S.tolist())
+
+
+def test_nms_early_out_uses_running_max_end():
+    # row 2 starts after row 1's (inverted) end but inside row 0: not
+    # disjoint in emission order, so the full path runs and row 2, which
+    # overlaps row 0 with IoU 4/12 > 0.3, is suppressed by it
+    polys = [[0.0, 10.0, 2.0], [20.0, 5.0, 1.0], [6.0, 12.0, 1.0]]
+    out = nms_locality(polys, 0.3)
+    assert out.tolist() == [[0.0, 10.0, 2.0], [20.0, 5.0, 1.0]]

@@ -61,8 +61,8 @@ def brute_partials(doc_id: int, norm: str):
             true[ss:se] = 1.0
         if extent < C.MIN_TEXT_SIZE or b.ignore:
             mask[b.gs:b.ge] = 0.0
-        for u, s in zip(b.units, b.scores):
-            pred[u.start:u.end] = s
+        for us, ue, s in zip(b.starts, b.ends, b.scores):
+            pred[us:ue] = s
         if extent >= C.MIN_TEXT_SIZE and not b.ignore:
             h = T._mix64_int(doc_id * 65536 + b.idx)
             j1, j2, jt = h % 4, (h >> 2) % 4, (h >> 4) % 7
@@ -73,9 +73,9 @@ def brute_partials(doc_id: int, norm: str):
             if se > ss:
                 lgpix[ss:se] = lg
         if not b.ignore and extent <= T.MAX_BOX_WIDTH:
-            wsum = sum(u.end - u.start for u in b.units)
-            swsum = sum(s * float(u.end - u.start)
-                        for u, s in zip(b.units, b.scores))
+            wsum = sum(ue - us for us, ue in zip(b.starts, b.ends))
+            swsum = sum(s * float(ue - us)
+                        for us, ue, s in zip(b.starts, b.ends, b.scores))
             s_box = swsum / float(wsum) if wsum else 0.0
             reg_sum += -math.log(max(s_box, T.REG_EPS))
             n_boxes += 1
