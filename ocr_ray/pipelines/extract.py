@@ -2,8 +2,11 @@
 
 Engine shape (SURVEY.md §3.1 "Engine shape"):
 
-    read_parquet(turns, pruned columns)
-      -> map_batches(extract_batch_counted, task pool)  # fused score/propose/decode
+    read_parquet(turns, pruned columns; 1 block on one CPU, else 4/CPU)
+      -> map_batches(_extract_batch, whole read blocks, task pool)
+         # fused score/propose/decode, BATCH_ROWS turns per kernel call;
+         # on one CPU Ray fuses the read into this map: one operator,
+         # one task, no turn block in the object store
       -> materialize spans
       -> reconcile: per-conversation global span ordinal span_seq (O2
          analog). Below LOCAL_ROW_LIMITS["reconcile"] spans the driver
@@ -15,17 +18,20 @@ Engine shape (SURVEY.md §3.1 "Engine shape"):
 
 Drop and dead-letter counters come from the same fused operator:
 :func:`extract_metrics_totals` maps ``metrics_batch`` (which wraps
-``extract_batch_counted``) over the turns and folds its (reason, count)
-rows on the driver. The resumable, per-partition layout is
+``extract_batch_counted``) over whole read blocks in the same
+``BATCH_ROWS`` slices and folds its (reason, count) rows on the driver.
+The resumable, per-partition layout is
 ``ocr_ray.state.lineage.CheckpointedExtraction``.
 
 The extractor stage is the only payload-heavy stage. A job below the
 reconcile limit is ONE Ray Data execution (read + extract +
-materialize) and sorts no span row: each operator after it runs where
-its input already is, on the driver. Above the limit the sort is the
-one wide operation, and a skewed mega-conversation just spans more
-sorted blocks. Every job writes into a new output directory and leaves
-at least one typed file, also when it yields no span.
+materialize) with one extract task per read block, and sorts no span
+row: each operator after it runs where its input already is, on the
+driver, and a job that writes builds no Dataset of what it wrote.
+Above the limit the sort is the one wide operation, and a skewed
+mega-conversation just spans more sorted blocks. Every job writes into
+a new output directory and leaves at least one typed file, also when it
+yields no span.
 """
 
 from __future__ import annotations
@@ -60,8 +66,13 @@ __all__ = [
 
 TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
-# turns per extractor batch
+# turns per kernel call inside one extract task
 BATCH_ROWS = 1024
+
+# read blocks of the shuffled training feed: a constant, so the order
+# does not depend on the cluster's CPU count
+SHUFFLE_BLOCKS = 8
+
 
 def read_turns_any(path: str, format: str = "parquet") -> rd.Dataset:
     """Multi-format turn source (S1 variants): parquet (primary), csv, or
@@ -87,8 +98,11 @@ def training_reader(
     """Shuffled training-feed reader (O5 analog — the reference shuffles
     its manifest twice, DataGen.py:408-409, then assembles batches):
     seeded global random_shuffle -> streamed Arrow batches. Deterministic
-    given (seed, input)."""
-    ds = read_turns(turns_path).random_shuffle(seed=seed)
+    given (seed, input): the read asks for ``SHUFFLE_BLOCKS`` blocks
+    whatever the cluster, because the shuffle's order depends on the
+    block count."""
+    ds = read_turns(turns_path, num_blocks=SHUFFLE_BLOCKS)
+    ds = ds.random_shuffle(seed=seed)
     return ds.iter_batches(batch_size=batch_size, batch_format="pyarrow")
 
 
@@ -113,21 +127,29 @@ def truncate_payloads(
     return turns.map_batches(trunc, batch_format="pyarrow")
 
 
-def read_turns(path: str, roles: list[str] | None = None) -> rd.Dataset:
+def read_turns(path: str, roles: list[str] | None = None,
+               num_blocks: int | None = None) -> rd.Dataset:
     """Pruned-at-the-read turn source (S1/S2 analog): only the columns the
     extraction chain needs leave storage.
 
-    With Ray initialized the read targets ~4 blocks per CPU: enough waves
-    to load-balance the heavy extract stage (payload cost varies ~2x
-    between html and plain turns) without paying per-task launch overhead
-    on hundreds of tiny blocks (measured sweep: 4x beats 8x at 32 CPUs).
+    With Ray initialized and at least 2 CPUs the read targets ~4 blocks
+    per CPU: enough waves to load-balance the heavy extract stage (payload
+    cost varies ~2x between html and plain turns) without paying per-task
+    launch overhead on hundreds of tiny blocks (measured sweep: 4x beats
+    8x at 32 CPUs). On one CPU there is nothing to balance, so it asks for
+    one block: a read task whose output is not split is fused by Ray into
+    the map after it (:func:`extract_spans`), and the turns never pass
+    through the object store. ``num_blocks`` overrides the count.
 
     ``roles`` pushes a row filter down to the parquet row groups (e.g.
     extract only assistant turns without scanning user/tool payloads).
     """
     kwargs = {}
-    if ray.is_initialized():
-        kwargs["override_num_blocks"] = 4 * cluster_cpus()
+    if num_blocks is None and ray.is_initialized():
+        cpus = cluster_cpus()
+        num_blocks = 4 * cpus if cpus >= 2 else 1
+    if num_blocks is not None:
+        kwargs["override_num_blocks"] = num_blocks
     if roles is None:
         return _read_parquet(path, columns=TURN_COLUMNS, **kwargs)
     import pyarrow.compute as pc
@@ -136,32 +158,52 @@ def read_turns(path: str, roles: list[str] | None = None) -> rd.Dataset:
                          filter=pc.field("role").isin(roles), **kwargs)
 
 
-def _extract_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task form of the fused extractor: the only per-worker
+def _by_slices(fn, block: pa.Table) -> pa.Table:
+    """``fn`` over ``block`` in ``BATCH_ROWS``-turn slices, outputs
+    concatenated: a whole-block task keeps the Python objects of one
+    kernel call bounded."""
+    if block.num_rows <= BATCH_ROWS:
+        return fn(block)
+    return pa.concat_tables([fn(block.slice(off, BATCH_ROWS))
+                             for off in range(0, block.num_rows, BATCH_ROWS)])
+
+
+def _extract_batch(block: pa.Table,
+                   counters: dict[str, int] | None = None) -> pa.Table:
+    """Stateless-task form of the fused extractor over one whole read
+    block (counters into ``counters`` when given): the only per-worker
     state (compiled regexes, rule tables) is module-level and loads at
     import, so elastic tasks need no actor pool — no pool ramp-up,
     scheduling to every free CPU."""
-    return extract_batch_counted(batch, {})
+    counters = {} if counters is None else counters
+    return _by_slices(lambda b: extract_batch_counted(b, counters), block)
 
 
 def extract_spans(turns: rd.Dataset) -> rd.Dataset:
     """Turns -> flat span rows via the fused extractor, as a stateless
-    task pool (fully elastic)."""
+    task pool (fully elastic) with one task per input block: no bundling
+    merges the blocks :func:`read_turns` cut for balance, and the kernel
+    walks each block in ``BATCH_ROWS``-turn slices."""
     return turns.map_batches(
-        _extract_batch, batch_format="pyarrow", batch_size=BATCH_ROWS
+        _extract_batch, batch_format="pyarrow", batch_size=None
     )
+
+
+def _metrics_block(block: pa.Table) -> pa.Table:
+    return _by_slices(metrics_batch, block)
 
 
 def extract_metrics_totals(turns: rd.Dataset) -> dict[str, int]:
     """Drop and dead-letter counter totals of the extraction chain over
     ``turns``: one streaming pass of ``metrics_batch`` (the production
     extractor plus its counters, one (reason, count) row per counter and
-    batch), folded on the driver. The four headline counters always
-    report, even at zero."""
+    slice) over whole blocks, as :func:`extract_spans` maps, folded on
+    the driver. The four headline counters always report, even at
+    zero."""
     totals = dict.fromkeys(
         ("turns_in", "empty_payloads", "error_rows", "spans_out"), 0)
     partials = turns.map_batches(
-        metrics_batch, batch_format="pyarrow", batch_size=BATCH_ROWS
+        _metrics_block, batch_format="pyarrow", batch_size=None
     )
     for row in partials.iter_rows():
         totals[row["reason"]] = totals.get(row["reason"], 0) + row["count"]
@@ -265,25 +307,29 @@ def write_spans(spans: pa.Table | rd.Dataset, out_dir: str) -> None:
     pq.write_table(spans, os.path.join(out_dir, "part-00000.parquet"))
 
 
-def reconcile_and_write(spans: rd.Dataset, out_dir: str | None = None) -> rd.Dataset:
-    """:func:`reconcile_sorted` of ``spans``, written into the new
-    directory ``out_dir`` if given (:func:`write_spans`). Below the
-    reconcile limit the driver writes the reconciled table as one file
-    and no second Ray Data execution runs; at or above it Ray writes the
-    sorted dataset."""
-    if out_dir is not None:
-        require_new_sink(out_dir, "reconcile_and_write")
-    out = _reconcile(spans)
-    if out_dir is not None:
-        write_spans(out, out_dir)
-    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+def reconcile_and_write(spans: rd.Dataset,
+                        out_dir: str | None = None) -> rd.Dataset | None:
+    """:func:`reconcile_sorted` of ``spans``; given ``out_dir``, written
+    into that new directory (:func:`write_spans`) instead, and ``None``
+    is returned. Below the reconcile limit the driver writes the
+    reconciled table as one file and no second Ray Data execution runs;
+    at or above it Ray writes the sorted dataset."""
+    if out_dir is None:
+        return reconcile_sorted(spans)
+    require_new_sink(out_dir, "reconcile_and_write")
+    write_spans(_reconcile(spans), out_dir)
+    return None
 
 
-def run_extraction(turns_path: str, out_dir: str | None = None) -> rd.Dataset:
-    """End-to-end: read -> extract -> reconcile (-> write if out_dir).
+def run_extraction(turns_path: str,
+                   out_dir: str | None = None) -> rd.Dataset | None:
+    """End-to-end: read -> extract -> reconcile, then the reconciled
+    dataset is returned, or, given ``out_dir``, written there and ``None``
+    returned.
 
     Below the reconcile limit the job is ONE Ray Data execution (read,
-    fused extract map, materialize); reconcile and the write of one
+    fused extract map, materialize; on one CPU the read and the map are
+    one operator running one task); reconcile and the write of one
     ``part-00000.parquet`` run on the driver. At or above it the range
     sort and Ray's write add their executions. ``out_dir`` must be new
     or hold no parquet file (``FileExistsError``), and a job without

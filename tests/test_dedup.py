@@ -321,6 +321,54 @@ def test_training_reader_deterministic(ray_session, tmp_path):
     assert first_keys(7) != first_keys(8)  # different seed -> different order
 
 
+_ONE_CPU_ORDER = """
+import json, sys
+import ray
+from ray.data import DataContext
+from ocr_ray.pipelines.extract import training_reader
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+DataContext.get_current().enable_progress_bars = False
+keys = [[c, t] for b in training_reader(sys.argv[1], seed=42, batch_size=64)
+        for c, t in zip(b.column("conv_id").to_pylist(),
+                        b.column("turn_idx").to_pylist())]
+ray.shutdown()
+print(json.dumps(keys))
+"""
+
+
+def test_training_reader_order_independent_of_cluster(ray_session, tmp_path):
+    """The shuffled order depends on (seed, input) only: a 1-CPU cluster
+    in a subprocess yields the same full order as this 4-CPU session."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from ocr_ray.corpus import turns_table_for_convs
+    from ocr_ray.pipelines.extract import training_reader
+
+    d = str(tmp_path / "t")
+    os.makedirs(d)
+    pq.write_table(turns_table_for_convs(list(range(40))),
+                   os.path.join(d, "p.parquet"))
+    here = [[c, t] for b in training_reader(d, seed=42, batch_size=64)
+            for c, t in zip(b.column("conv_id").to_pylist(),
+                            b.column("turn_idx").to_pylist())]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_ORDER, d], cwd=root,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": root})
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    one_cpu = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(here) == 518
+    assert one_cpu == here
+
+
 def test_truncate_payloads(ray_session):
     import pyarrow as pa
 
